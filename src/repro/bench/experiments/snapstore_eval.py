@@ -285,7 +285,7 @@ class SnapstoreTiering(Experiment):
                 cold += sum(1 for sample in function_stats.samples
                             if sample.mode != "warm")
             for worker in cluster.workers:
-                counters = worker.orchestrator.snapstore.stats.as_dict()
+                counters = worker.orchestrator.snapstore.stats.to_dict()
                 for key in tier_totals:
                     tier_totals[key] += counters[key]
             locality_routed += cluster.balancer.stats.locality_routed

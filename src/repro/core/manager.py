@@ -31,6 +31,11 @@ from repro.obs import tracer as obs_tracer
 from repro.vm.host import WorkerHost
 from repro.vm.snapshot import Snapshot
 
+#: Working-set generations kept per function in
+#: :attr:`FunctionReapState.ws_history` (recorded sets plus, under the
+#: ``predict`` scheme, demanded sets).
+WS_HISTORY_LIMIT = 8
+
 
 @dataclass(frozen=True)
 class ReapParameters:
@@ -60,8 +65,8 @@ class FunctionReapState:
     history: list[str] = field(default_factory=list)
     #: Working-set generations (recorded sets plus, under the
     #: ``predict`` scheme, demanded sets) -- the cross-generation
-    #: prediction source (:mod:`repro.policies.predict`).  Bounded by
-    #: the appenders.
+    #: prediction source (:mod:`repro.policies.predict`).  Appenders
+    #: keep the newest :data:`WS_HISTORY_LIMIT`.
     ws_history: list[frozenset[int]] = field(default_factory=list)
 
 
@@ -128,7 +133,7 @@ class ReapManager:
             state.records_done += 1
             state.mispredict_streak = 0
             state.ws_history.append(frozenset(policy.artifacts.pages))
-            del state.ws_history[:-8]
+            del state.ws_history[:-WS_HISTORY_LIMIT]
             if self.store is not None:
                 self.store.register_reap_artifacts(function_name,
                                                    policy.artifacts)

@@ -8,9 +8,9 @@ which models burn the wall clock, not the simulated one.
 
 Enabled by exporting ``REPRO_PROFILE=1`` before the process starts, or
 programmatically via :func:`install` (``bench perf --profile`` does the
-latter).  When :data:`ACTIVE` is ``None`` the engine's fast path is
-untouched: :meth:`repro.sim.engine.Environment.run` checks the flag
-once per call, not per event.
+latter).  :meth:`repro.sim.engine.Environment.run` reads :data:`ACTIVE`
+once per call into a local; when it is ``None`` the only per-event
+cost is that local's ``is None`` test in the single dispatch loop.
 
 The profiler reads the host clock, which is exactly what a profiler is
 for; results are reported out-of-band and never feed back into

@@ -16,7 +16,11 @@ The invocation path mirrors the paper's breakdown exactly:
 
 Warm instances (memory-resident, connected) skip all restore work and
 serve at their warm latency, which is how the paper's warm bars and the
-warm-background experiment run.
+warm-background experiment run.  Cold starts and speculative prewarms
+share one restore sequence (steps 1-3); cold and warm invocations share
+one processing step.  Every phase is timed by one :class:`_Phase` block,
+which sets the phase's :class:`LatencyBreakdown` field and emits its
+span from the same begin/end.
 
 See also :mod:`repro.core.manager` (which policy a cold start gets),
 :mod:`repro.core.policies` (what each policy does),
@@ -91,6 +95,60 @@ class DeployedFunction:
     snapshot: Optional[Snapshot] = None
     invocations: int = 0
     warm: list[WarmInstance] = field(default_factory=list)
+
+
+class _Phase:
+    """One timed phase of an invocation, used as a ``with`` block.
+
+    A single begin/end pair feeds both outputs: on a normal exit the
+    ``breakdown`` field named by ``field_name`` (if any) gets the elapsed
+    simulated time, and the phase's span closes at the same instant, so
+    a traced span's duration always equals its breakdown field.  On an
+    exception the field stays unset and every span still open on the
+    lane closes with ``status="error"`` (the trace then shows how far
+    the aborted invocation got).
+
+    Spans are emitted only when the tracer is installed and ``lane`` is
+    set; :attr:`lane` is ``None`` otherwise, so nested phases and the
+    vCPU's fault windows inherit an enclosing phase's tracing decision.
+    """
+
+    __slots__ = ("env", "proc", "lane", "tracer", "span", "breakdown",
+                 "field_name", "started", "end_args")
+
+    def __init__(self, orchestrator: "Orchestrator", name: str,
+                 lane: str | None, breakdown: LatencyBreakdown | None = None,
+                 field_name: str | None = None, cat: str = "invoke",
+                 args: dict[str, Any] | None = None) -> None:
+        self.env = orchestrator.env
+        self.proc = orchestrator.obs_proc
+        self.breakdown = breakdown
+        self.field_name = field_name
+        self.started = self.env.now
+        #: Span args known only at the end (set inside the block).
+        self.end_args: dict[str, Any] | None = None
+        tracer = obs_tracer.ACTIVE if lane is not None else None
+        self.tracer = tracer
+        self.lane = lane if tracer is not None else None
+        self.span = None if tracer is None else tracer.begin(
+            name, self.started, lane=lane, proc=self.proc, cat=cat,
+            args=args)
+
+    def __enter__(self) -> "_Phase":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> bool:
+        now = self.env.now
+        tracer = self.tracer
+        if exc_type is not None:
+            if tracer is not None:
+                tracer.abort_lane(self.lane, now, proc=self.proc)
+            return False
+        if self.field_name is not None:
+            setattr(self.breakdown, self.field_name, now - self.started)
+        if tracer is not None:
+            tracer.end(self.span, now, args=self.end_args)
+        return False
 
 
 class Orchestrator:
@@ -211,7 +269,30 @@ class Orchestrator:
         if self.policy_layer is not None:
             self.policy_layer.observe_invocation(name, self.env.now)
         if use_warm and entry.warm:
-            result = yield from self._invoke_warm(entry, entry.warm[0])
+            # The warm path is served here, not in a helper generator,
+            # so its vCPU replay runs two ``yield from`` levels deep.
+            vm = entry.warm[0].vm
+            if not vm.is_warm:
+                raise RuntimeError(f"{vm.name} is not warm")
+            invocation = entry.invocations
+            entry.invocations += 1
+            trace = entry.behavior.trace_for(invocation)
+            breakdown = LatencyBreakdown(policy="warm", function=name,
+                                         invocation=invocation)
+            started = self.env.now
+            with _Phase(self, "warm_start", f"{name}#{invocation}",
+                        args={"function": name,
+                              "invocation": invocation}) as warm:
+                # Connection already alive: no handshake, no restore work.
+                yield from self._process(
+                    entry, vm, trace,
+                    self._anonymous_fault_handler(vm, breakdown),
+                    breakdown, warm.lane)
+            vm.invocations_served += 1
+            result = InvocationResult(
+                function=name, invocation=invocation, mode="warm",
+                breakdown=breakdown, trace=trace, started_at=started,
+                finished_at=self.env.now)
         else:
             result = yield from self._invoke_cold(entry, mode,
                                                   flush_page_cache,
@@ -234,35 +315,11 @@ class Orchestrator:
         entry.warm.clear()
         return evicted
 
-    # -- warm path --------------------------------------------------------------
-
-    def _invoke_warm(self, entry: DeployedFunction, warm: WarmInstance,
-                     ) -> Generator[Event, Any, InvocationResult]:
-        vm = warm.vm
-        if not vm.is_warm:
-            raise RuntimeError(f"{vm.name} is not warm")
-        invocation = entry.invocations
-        entry.invocations += 1
-        trace = entry.behavior.trace_for(invocation)
-        breakdown = LatencyBreakdown(policy="warm", function=entry.profile.name,
-                                     invocation=invocation)
-        started = self.env.now
-        tracer = obs_tracer.ACTIVE
-        lane = None
-        warm_span = span = None
-        if tracer is not None:
-            lane = f"{entry.profile.name}#{invocation}"
-            warm_span = tracer.begin(
-                "warm_start", started, lane=lane, proc=self.obs_proc,
-                args={"function": entry.profile.name,
-                      "invocation": invocation})
-        handler = self._anonymous_fault_handler(vm, breakdown)
-        try:
-            # Connection already alive: no handshake, no restore work.
-            phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("processing", phase_start, lane=lane,
-                                    proc=self.obs_proc)
+    def _process(self, entry: DeployedFunction, vm: MicroVM,
+                 trace: AccessTrace, handler, breakdown: LatencyBreakdown,
+                 lane: str | None) -> Generator[Event, Any, None]:
+        """Function processing: S3 input fetch, then handler execution."""
+        with _Phase(self, "processing", lane, breakdown, "processing_us"):
             s3_us = self.host.s3_fetch_us(entry.profile.input_bytes)
             if s3_us > 0:
                 yield self.env.timeout(s3_us)
@@ -270,19 +327,6 @@ class Orchestrator:
             yield from vm.vcpu.execute_phase(
                 vm.memory, trace.processing_pages, compute_us, handler,
                 obs_lane=lane, obs_proc=self.obs_proc)
-            breakdown.processing_us = self.env.now - phase_start
-        except BaseException:
-            if tracer is not None:
-                tracer.abort_lane(lane, self.env.now, proc=self.obs_proc)
-            raise
-        if tracer is not None:
-            tracer.end(span, self.env.now)
-            tracer.end(warm_span, self.env.now)
-        vm.invocations_served += 1
-        return InvocationResult(
-            function=entry.profile.name, invocation=invocation, mode="warm",
-            breakdown=breakdown, trace=trace, started_at=started,
-            finished_at=self.env.now)
 
     def _anonymous_fault_handler(self, vm: MicroVM,
                                  breakdown: LatencyBreakdown):
@@ -301,228 +345,188 @@ class Orchestrator:
     def _invoke_cold(self, entry: DeployedFunction, mode: str | None,
                      flush_page_cache: bool, keep_warm: bool,
                      ) -> Generator[Event, Any, InvocationResult]:
+        name = entry.profile.name
         if entry.snapshot is None:
             raise RuntimeError(
-                f"function {entry.profile.name!r} has no snapshot and no "
-                f"warm instance")
-        snapshot = entry.snapshot
+                f"function {name!r} has no snapshot and no warm instance")
         invocation = entry.invocations
         entry.invocations += 1
-        breakdown = LatencyBreakdown(function=entry.profile.name,
-                                     invocation=invocation)
+        breakdown = LatencyBreakdown(function=name, invocation=invocation)
         if flush_page_cache:
             self.host.flush_page_cache()
         started = self.env.now
 
-        # 0. Resolve the restore mode up front; the tiered store then
+        # Resolve the restore mode up front; the tiered store then
         # promotes + pins exactly the artifacts this mode reads eagerly
         # (evicted ones pay the remote path, §7.1).  Resolving once also
         # pins the policy itself: REAP state may change across the
         # promote/load yields (a concurrent record completing), and the
         # policy must match what was promoted.
-        selected = mode or self._auto_mode(entry.profile.name)
-        tracer = obs_tracer.ACTIVE
-        lane = None
-        cold_span = None
-        if tracer is not None:
-            lane = f"{entry.profile.name}#{invocation}"
-            cold_span = tracer.begin(
-                "cold_start", started, lane=lane, proc=self.obs_proc,
-                args={"function": entry.profile.name,
-                      "invocation": invocation, "mode": selected})
-        try:
-            pinned = []
-            if self.snapstore is not None:
-                span = None
-                if tracer is not None:
-                    span = tracer.begin("artifact_ensure", self.env.now,
-                                        lane=lane, proc=self.obs_proc,
-                                        cat="snapstore")
-                pinned = yield from self.snapstore.ensure_for_restore(
-                    entry.profile.name, selected, breakdown)
-                if tracer is not None:
-                    tracer.end(span, self.env.now,
-                               args={"pinned": len(pinned)})
-                if (mode is None
-                        and selected in PREFETCH_POLICIES
-                        and breakdown.extra.get("artifact_unreachable")):
-                    # The recorded trace/WS artifacts sit behind an
-                    # unreachable remote service: degrade to a vanilla
-                    # restore (lazy faults hit whatever is locally
-                    # resident) instead of failing in prepare().
-                    selected = "vanilla"
-                    breakdown.extra["degraded_to_vanilla"] = True
+        selected = mode or self._auto_mode(name)
+        with _Phase(self, "cold_start", f"{name}#{invocation}",
+                    args={"function": name, "invocation": invocation,
+                          "mode": selected}) as cold:
+            lane = cold.lane
+            pinned: list = []
             try:
-                result = yield from self._restore_and_serve(
-                    entry, snapshot, selected, breakdown, invocation,
-                    started, keep_warm, forced=mode is not None,
-                    obs_lane=lane)
+                # 1-3. Load VMM, prepare, connection restoration.
+                vm, policy, trace, handler = yield from self._restore(
+                    entry, selected, breakdown, lane, pinned,
+                    invocation=invocation, forced=mode is not None)
+                try:
+                    # 4. Function processing (S3 input + handler).
+                    yield from self._process(entry, vm, trace, handler,
+                                             breakdown, lane)
+                    # 5. Finalize (record artifacts; mispredictions).
+                    with _Phase(self, "finalize", lane, breakdown,
+                                "finalize_us", cat="restore"):
+                        yield from policy.finish(vm)
+                except BaseException:
+                    # An Interrupt or model error at any yield above
+                    # would leak the instance: its monitor process keeps
+                    # polling the uffd queue and the uffd keeps its
+                    # registration (the sanitizer's end-of-run leak
+                    # check).  Tear it down before propagating.
+                    self._teardown_instance(
+                        WarmInstance(vm=vm, policy=policy))
+                    raise
+                # §7.1 mispredictions: only prefetch policies install
+                # pages that can go untouched; every other policy
+                # reports an explicit 0 so aggregations see the field
+                # uniformly.  Policies that install beyond the recorded
+                # set (predict) expose the full set via
+                # ``prefetched_page_set``.
+                prefetched_set = getattr(policy, "prefetched_page_set",
+                                         None)
+                if (prefetched_set is None
+                        and policy.name in PREFETCH_POLICIES
+                        and policy.artifacts is not None):
+                    prefetched_set = policy.artifacts.page_set
+                if prefetched_set is not None:
+                    breakdown.unused_prefetched = len(
+                        prefetched_set - trace.page_set)
+                else:
+                    breakdown.unused_prefetched = 0
+                self.reap.complete(name, policy)
+                if self.policy_layer is not None:
+                    self.policy_layer.observe_complete(name, policy)
+                vm.invocations_served += 1
+                warm = WarmInstance(vm=vm, policy=policy)
+                if keep_warm:
+                    entry.warm.append(warm)
+                else:
+                    self._teardown_instance(warm)
             finally:
                 if pinned:
                     self.snapstore.unpin(pinned)
-        except BaseException:
-            if tracer is not None:
-                tracer.abort_lane(lane, self.env.now, proc=self.obs_proc)
-            raise
-        if tracer is not None:
-            tracer.end(cold_span, self.env.now,
-                       args={"policy": result.mode,
-                             "total_us": breakdown.total_us})
-        return result
+            cold.end_args = {"policy": policy.name,
+                             "total_us": breakdown.total_us}
+        return InvocationResult(
+            function=name, invocation=invocation, mode=policy.name,
+            breakdown=breakdown, trace=trace, started_at=started,
+            finished_at=self.env.now)
 
-    def _restore_and_serve(self, entry: DeployedFunction,
-                           snapshot: Snapshot, mode: str,
-                           breakdown: LatencyBreakdown, invocation: int,
-                           started: float, keep_warm: bool,
-                           forced: bool = False,
-                           obs_lane: str | None = None,
-                           ) -> Generator[Event, Any, InvocationResult]:
-        tracer = obs_tracer.ACTIVE if obs_lane is not None else None
-        proc = self.obs_proc
-        span = None
+    def _restore(self, entry: DeployedFunction, mode: str,
+                 breakdown: LatencyBreakdown, lane: str | None,
+                 pinned: list, invocation: int | None = None,
+                 forced: bool = False) -> Generator[Event, Any, tuple]:
+        """Restore an instance from its snapshot up to the connected state.
+
+        The sequence cold starts and prewarms share: artifact promotion
+        (its pins land in ``pinned``; the caller unpins), Load VMM,
+        policy prepare, and connection restoration.  Unless ``forced``,
+        an auto-selected prefetch ``mode`` degrades when its recorded
+        artifacts are unreachable or were invalidated meanwhile.
+        ``invocation=None`` restores speculatively: the next
+        invocation's trace is peeked, not consumed, and the restore
+        never records.  Returns ``(vm, policy, trace, handler)``; on
+        failure the instance is torn down before the error propagates.
+        """
+        name = entry.profile.name
+        snapshot = entry.snapshot
+        env = self.env
+        host = self.host
+        params = host.params
+        if self.snapstore is not None:
+            with _Phase(self, "artifact_ensure", lane,
+                        cat="snapstore") as ensure:
+                pinned.extend((yield from self.snapstore.ensure_for_restore(
+                    name, mode, breakdown)))
+                ensure.end_args = {"pinned": len(pinned)}
+            if (not forced and mode in PREFETCH_POLICIES
+                    and breakdown.extra.get("artifact_unreachable")):
+                # The recorded trace/WS artifacts sit behind an
+                # unreachable remote service: degrade to a vanilla
+                # restore (lazy faults hit whatever is locally resident)
+                # instead of failing in prepare().
+                mode = "vanilla"
+                breakdown.extra["degraded_to_vanilla"] = True
 
         # 1. Load VMM (containerd + Firecracker + state file + devices).
-        if tracer is not None:
-            span = tracer.begin("load_vmm", self.env.now, lane=obs_lane,
-                                proc=proc, cat="restore")
-        yield from self._load_vmm(snapshot, breakdown)
-        if tracer is not None:
-            tracer.end(span, self.env.now)
+        with _Phase(self, "load_vmm", lane, breakdown, "load_vmm_us",
+                    cat="restore"):
+            grant = host.containerd_lock.request()
+            try:
+                yield grant
+                yield env.timeout(params.containerd_serial_ms * MS)
+            finally:
+                host.containerd_lock.release(grant)
+            yield env.timeout(params.firecracker_spawn_ms * MS)
+            yield from host.page_cache.read(snapshot.vmm_file, 0,
+                                            snapshot.vmm_file.size)
+            yield env.timeout(params.device_setup_ms * MS)
 
         # A concurrent invocation may have invalidated the recording
         # (re-record / refresh) during the promote/load yields; an
         # auto-selected prefetch mode then falls back gracefully rather
         # than demanding artifacts that no longer exist.
         if (not forced and mode in PREFETCH_POLICIES
-                and self.reap.state_for(entry.profile.name).artifacts
-                is None):
-            mode = self._auto_mode(entry.profile.name)
+                and self.reap.state_for(name).artifacts is None):
+            mode = (self._auto_mode(name) if invocation is not None
+                    else self._speculative_mode(name))
 
         # 2. Instantiate and eagerly populate per the restore policy.
         policy = self._policy_for(snapshot, breakdown, mode)
-        trace = entry.behavior.trace_for(invocation,
-                                         record=(policy.name == "record"))
+        trace = entry.behavior.trace_for(
+            entry.invocations if invocation is None else invocation,
+            record=(policy.name == "record"))
         vm = self.snapshot_store.instantiate(snapshot, policy.backing,
                                              content=self.content)
         policy.attach(vm)
         try:
-            if tracer is not None:
-                span = tracer.begin("prepare", self.env.now, lane=obs_lane,
-                                    proc=proc, cat="restore",
-                                    args={"policy": policy.name})
-            try:
-                yield from policy.prepare(vm)
-            except ArtifactFormatError:
-                # Corrupted trace/WS file: the demand monitor can still
-                # serve every page, so the invocation proceeds (slower);
-                # the stale artifacts are discarded so the next cold
-                # start re-records.
-                breakdown.extra["artifact_error"] = True
-                self.reap.state_for(entry.profile.name).artifacts = None
-                if self.snapstore is not None:
-                    self.snapstore.release_reap_artifacts(
-                        entry.profile.name)
-            if tracer is not None:
-                tracer.end(span, self.env.now,
-                           args={"fetch_ws_us": breakdown.fetch_ws_us,
-                                 "install_ws_us": breakdown.install_ws_us,
-                                 "prefetched": breakdown.prefetched_pages})
+            with _Phase(self, "prepare", lane, cat="restore",
+                        args={"policy": policy.name}) as prepare:
+                try:
+                    yield from policy.prepare(vm)
+                except ArtifactFormatError:
+                    # Corrupted trace/WS file: the demand monitor can
+                    # still serve every page, so the invocation proceeds
+                    # (slower); the stale artifacts are discarded so the
+                    # next cold start re-records.
+                    breakdown.extra["artifact_error"] = True
+                    self.reap.state_for(name).artifacts = None
+                    if self.snapstore is not None:
+                        self.snapstore.release_reap_artifacts(name)
+                prepare.end_args = {
+                    "fetch_ws_us": breakdown.fetch_ws_us,
+                    "install_ws_us": breakdown.install_ws_us,
+                    "prefetched": breakdown.prefetched_pages}
             vm.transition(VmState.RUNNING)
             handler = policy.fault_handler(vm)
 
             # 3. Connection restoration (handshake + guest infra pages).
-            phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("connection", phase_start,
-                                    lane=obs_lane, proc=proc,
-                                    cat="restore")
-            yield self.env.timeout(self.host.params.grpc_handshake_ms * MS)
-            yield from vm.vcpu.execute_phase(
-                vm.memory, trace.connection_pages,
-                trace.connection_compute_us, handler,
-                obs_lane=obs_lane, obs_proc=proc)
-            vm.connected = True
-            breakdown.connection_us = self.env.now - phase_start
-            if tracer is not None:
-                tracer.end(span, self.env.now)
-
-            # 4. Function processing (S3 input + handler execution).
-            phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("processing", phase_start,
-                                    lane=obs_lane, proc=proc)
-            s3_us = self.host.s3_fetch_us(entry.profile.input_bytes)
-            if s3_us > 0:
-                yield self.env.timeout(s3_us)
-            compute_us = max(trace.processing_compute_us - s3_us, 0.0)
-            yield from vm.vcpu.execute_phase(
-                vm.memory, trace.processing_pages, compute_us, handler,
-                obs_lane=obs_lane, obs_proc=proc)
-            breakdown.processing_us = self.env.now - phase_start
-            if tracer is not None:
-                tracer.end(span, self.env.now)
-
-            # 5. Finalize (record artifacts; misprediction accounting).
-            phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("finalize", phase_start, lane=obs_lane,
-                                    proc=proc, cat="restore")
-            yield from policy.finish(vm)
-            breakdown.finalize_us = self.env.now - phase_start
-            if tracer is not None:
-                tracer.end(span, self.env.now)
+            with _Phase(self, "connection", lane, breakdown,
+                        "connection_us", cat="restore"):
+                yield env.timeout(params.grpc_handshake_ms * MS)
+                yield from vm.vcpu.execute_phase(
+                    vm.memory, trace.connection_pages,
+                    trace.connection_compute_us, handler,
+                    obs_lane=lane, obs_proc=self.obs_proc)
+                vm.connected = True
         except BaseException:
-            # An Interrupt or model error at any yield above would leak
-            # the instance: its monitor process keeps polling the uffd
-            # queue and the uffd keeps its registration (the sanitizer's
-            # end-of-run leak check).  Tear it down before propagating.
-            # (The caller's abort closes any spans left open here.)
             self._teardown_instance(WarmInstance(vm=vm, policy=policy))
             raise
-        # §7.1 mispredictions: only prefetch policies install pages that
-        # can go untouched; every other policy reports an explicit 0 so
-        # aggregations see the field uniformly.  Policies that install
-        # beyond the recorded set (predict) expose the full set via
-        # ``prefetched_page_set``.
-        prefetched_set = getattr(policy, "prefetched_page_set", None)
-        if (prefetched_set is None and policy.name in PREFETCH_POLICIES
-                and policy.artifacts is not None):
-            prefetched_set = policy.artifacts.page_set
-        if prefetched_set is not None:
-            breakdown.unused_prefetched = len(
-                prefetched_set - trace.page_set)
-        else:
-            breakdown.unused_prefetched = 0
-        self.reap.complete(entry.profile.name, policy)
-        if self.policy_layer is not None:
-            self.policy_layer.observe_complete(entry.profile.name, policy)
-
-        vm.invocations_served += 1
-        warm = WarmInstance(vm=vm, policy=policy)
-        if keep_warm:
-            entry.warm.append(warm)
-        else:
-            self._teardown_instance(warm)
-        return InvocationResult(
-            function=entry.profile.name, invocation=invocation,
-            mode=policy.name, breakdown=breakdown, trace=trace,
-            started_at=started, finished_at=self.env.now)
-
-    def _load_vmm(self, snapshot: Snapshot, breakdown: LatencyBreakdown,
-                  ) -> Generator[Event, Any, None]:
-        params = self.host.params
-        phase_start = self.env.now
-        grant = self.host.containerd_lock.request()
-        try:
-            yield grant
-            yield self.env.timeout(params.containerd_serial_ms * MS)
-        finally:
-            self.host.containerd_lock.release(grant)
-        yield self.env.timeout(params.firecracker_spawn_ms * MS)
-        yield from self.host.page_cache.read(snapshot.vmm_file, 0,
-                                             snapshot.vmm_file.size)
-        yield self.env.timeout(params.device_setup_ms * MS)
-        breakdown.load_vmm_us = self.env.now - phase_start
+        return vm, policy, trace, handler
 
     def _auto_mode(self, name: str) -> str:
         """Automatic restore-mode selection (REAP, then the layer)."""
@@ -530,6 +534,11 @@ class Orchestrator:
         if self.policy_layer is not None:
             selected = self.policy_layer.select_mode(name, selected)
         return selected
+
+    def _speculative_mode(self, name: str) -> str:
+        """:meth:`_auto_mode` for a speculative restore (never records)."""
+        selected = self._auto_mode(name)
+        return "vanilla" if selected == "record" else selected
 
     def _policy_for(self, snapshot: Snapshot,
                     breakdown: LatencyBreakdown,
@@ -555,63 +564,18 @@ class Orchestrator:
         entry = self.function(name)
         if entry.snapshot is None or entry.warm:
             return False
-        snapshot = entry.snapshot
-        breakdown = LatencyBreakdown(function=entry.profile.name,
-                                     invocation=-1)
-        selected = self._auto_mode(name)
-        if selected == "record":
-            selected = "vanilla"
-        tracer = obs_tracer.ACTIVE
-        lane = None
-        span = None
-        if tracer is not None:
-            lane = f"prewarm:{name}"
-            span = tracer.begin(
-                "prewarm", self.env.now, lane=lane, proc=self.obs_proc,
-                cat="policy",
-                args={"function": name, "mode": selected})
-        try:
-            pinned = []
-            if self.snapstore is not None:
-                pinned = yield from self.snapstore.ensure_for_restore(
-                    name, selected, breakdown)
-                if (selected in PREFETCH_POLICIES
-                        and breakdown.extra.get("artifact_unreachable")):
-                    selected = "vanilla"
+        breakdown = LatencyBreakdown(function=name, invocation=-1)
+        selected = self._speculative_mode(name)
+        with _Phase(self, "prewarm", f"prewarm:{name}", cat="policy",
+                    args={"function": name, "mode": selected}) as span:
+            pinned: list = []
             try:
-                yield from self._load_vmm(snapshot, breakdown)
-                if (selected in PREFETCH_POLICIES
-                        and self.reap.state_for(name).artifacts is None):
-                    selected = self._auto_mode(name)
-                    if selected == "record":
-                        selected = "vanilla"
-                policy = self._policy_for(snapshot, breakdown, selected)
-                # Peek (not consume) the next invocation's trace: the
-                # connection pages are the stable infrastructure set.
-                trace = entry.behavior.trace_for(entry.invocations)
-                vm = self.snapshot_store.instantiate(
-                    snapshot, policy.backing, content=self.content)
-                policy.attach(vm)
+                vm, policy, _trace, _handler = yield from self._restore(
+                    entry, selected, breakdown, span.lane, pinned)
                 try:
-                    try:
-                        yield from policy.prepare(vm)
-                    except ArtifactFormatError:
-                        breakdown.extra["artifact_error"] = True
-                        self.reap.state_for(name).artifacts = None
-                        if self.snapstore is not None:
-                            self.snapstore.release_reap_artifacts(name)
-                    vm.transition(VmState.RUNNING)
-                    handler = policy.fault_handler(vm)
-                    phase_start = self.env.now
-                    yield self.env.timeout(
-                        self.host.params.grpc_handshake_ms * MS)
-                    yield from vm.vcpu.execute_phase(
-                        vm.memory, trace.connection_pages,
-                        trace.connection_compute_us, handler,
-                        obs_lane=lane, obs_proc=self.obs_proc)
-                    vm.connected = True
-                    breakdown.connection_us = self.env.now - phase_start
-                    yield from policy.finish(vm)
+                    with _Phase(self, "finalize", span.lane, breakdown,
+                                "finalize_us", cat="restore"):
+                        yield from policy.finish(vm)
                 except BaseException:
                     self._teardown_instance(
                         WarmInstance(vm=vm, policy=policy))
@@ -620,14 +584,8 @@ class Orchestrator:
             finally:
                 if pinned:
                     self.snapstore.unpin(pinned)
-        except BaseException:
-            if tracer is not None:
-                tracer.abort_lane(lane, self.env.now, proc=self.obs_proc)
-            raise
-        if tracer is not None:
-            tracer.end(span, self.env.now,
-                       args={"policy": policy.name,
-                             "total_us": breakdown.total_us})
+            span.end_args = {"policy": policy.name,
+                             "total_us": breakdown.total_us}
         return True
 
     def _teardown_instance(self, warm: WarmInstance) -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.context import LatencyBreakdown
+from repro.core.manager import WS_HISTORY_LIMIT
 from repro.core.policies import RestorePolicy
 from repro.policies.overlap import OverlapPolicy
 from repro.policies.predict import PredictPolicy
@@ -42,9 +43,6 @@ SCHEMES: tuple[str, ...] = ("vanilla", "reap", "overlap", "predict",
 
 #: Schemes that replace the auto-selected prefetch policy.
 _COLD_PATH_SCHEMES = ("overlap", "predict", "shared")
-
-#: Recorded/demanded working-set generations kept per function.
-WS_HISTORY_LIMIT = 8
 
 
 @dataclass(frozen=True)

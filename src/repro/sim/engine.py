@@ -31,8 +31,12 @@ overhead minimal:
 * a waiting :class:`Process` registers *itself* as the callback (the
   dispatch loop detects it by type and resumes it directly), so the
   common wait path allocates no bound-method object;
-* :meth:`Environment.run` inlines the pop/dispatch loop, and
-  :meth:`Environment.timeout` builds the :class:`Timeout` in a single
+* :meth:`Environment.run` has exactly one pop/dispatch loop for all
+  three ``until`` forms, with dispatch inlined rather than a per-event
+  method call (see "Why dispatch is inlined" in
+  ``docs/performance.md``); the profiler is one local ``is None`` test
+  per event when off;
+* :meth:`Environment.timeout` builds the :class:`Timeout` in a single
   frame (no ``type.__call__``/``__init__`` double dispatch).
 
 Setting ``fastpath=False`` on :class:`Environment` (or exporting
@@ -60,6 +64,8 @@ from repro.sim import sanitizer
 #: Process-wide count of events processed by every Environment, for the
 #: ``bench perf`` suite (simulated-events/sec).  Monotonic; never reset.
 _events_processed_total = 0
+
+_INF = float("inf")
 
 
 def events_processed_total() -> int:
@@ -194,27 +200,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units in the future."""
+    """An event that fires ``delay`` time units in the future.
+
+    Built only by :meth:`Environment.timeout`.
+    """
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        # Inlined Event.__init__ + queueing: timeouts are the hottest
-        # allocation in every model.
-        self.env = env
-        self._cb = None
-        self._cbs = None
-        self._value = value
-        self._exception = None
-        self._triggered = True
-        self._processed = False
-        self._defused = False
-        if delay == 0.0 and env._fastpath:
-            env._immediate.append(self)
-        else:
-            heappush(env._heap, (env._now + delay, env._next_seq(), self))
 
 
 class AllOf(Event):
@@ -469,12 +460,6 @@ class Environment:
         """Event that fires when the first of ``events`` fires."""
         return AnyOf(self, events)
 
-    def _queue_event(self, event: Event, delay: float = 0.0) -> None:
-        if delay == 0.0 and self._fastpath:
-            self._immediate.append(event)
-        else:
-            heappush(self._heap, (self._now + delay, self._next_seq(), event))
-
     def _schedule_call(self, callback: Callable[[Any], None],
                        event: Any) -> None:
         if self._fastpath:
@@ -483,45 +468,6 @@ class Environment:
             heappush(self._heap,
                      (self._now, self._next_seq(), (callback, event)))
 
-    def _step(self) -> None:
-        """Process exactly one queued item (reference implementation)."""
-        global _events_processed_total
-        heap = self._heap
-        immediate = self._immediate
-        if heap and (not immediate or heap[0][0] <= self._now):
-            when, _seq, item = heappop(heap)
-            self._now = when
-        else:
-            item = immediate.popleft()
-        self.events_processed += 1
-        _events_processed_total += 1
-        if type(item) is tuple:
-            callback, event = item
-            if type(callback) is Process:
-                callback._resume(event)
-            else:
-                callback(event)
-            return
-        item._processed = True
-        callback = item._cb
-        if callback is not None:
-            item._cb = None
-            if type(callback) is Process:
-                callback._resume(item)
-            else:
-                callback(item)
-            more = item._cbs
-            if more:
-                item._cbs = None
-                for callback in more:
-                    if type(callback) is Process:
-                        callback._resume(item)
-                    else:
-                        callback(item)
-        elif item._exception is not None and not item._defused:
-            # A failure nobody waited for: surface it rather than lose it.
-            raise item._exception
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the event loop.
 
@@ -529,12 +475,27 @@ class Environment:
         :class:`Event` (run until it is processed, returning its value).
         When ``until`` is a time, the clock always advances to it, even
         if the queue empties early.
+
+        All three forms share one pop/dispatch loop.  An event target
+        runs with an infinite deadline and stops right after the
+        target's own dispatch: only dispatching an event marks it
+        processed, so one identity test per event suffices and callbacks
+        added to the target while running still run.  With a profiler
+        installed, dispatch goes through :meth:`_dispatch_profiled`.
         """
-        if _profiler.ACTIVE is not None:
-            # One flag check per run() call, not per event: the fast
-            # loops below stay untouched when profiling is off.
-            return self._run_profiled(until, _profiler.ACTIVE)
         global _events_processed_total
+        target = None
+        if isinstance(until, Event):
+            target = until
+            # An already-processed target returns without dispatching:
+            # a deadline of -inf stops the loop before its first pop.
+            deadline = -_INF if target._processed else _INF
+        else:
+            deadline = _INF if until is None else float(until)
+        profiler = _profiler.ACTIVE
+        if profiler is not None:
+            record = profiler.record
+            clock = _profiler.perf_counter
         heap = self._heap
         immediate = self._immediate
         count = 0
@@ -546,26 +507,30 @@ class Environment:
         if gc_was_enabled:
             gc.disable()
         try:
-            if isinstance(until, Event):
-                target = until
-                while not target._processed:
-                    if heap and (not immediate or heap[0][0] <= self._now):
-                        when, _seq, item = heappop(heap)
-                        self._now = when
-                    elif immediate:
-                        item = immediate.popleft()
+            while True:
+                if heap and (not immediate or heap[0][0] <= self._now):
+                    when = heap[0][0]
+                    if when > deadline:
+                        break
+                    when, _seq, item = heappop(heap)
+                    self._now = when
+                elif immediate:
+                    if self._now > deadline:
+                        break
+                    item = immediate.popleft()
+                else:
+                    break
+                count += 1
+                if profiler is not None:
+                    self._dispatch_profiled(item, record, clock)
+                elif type(item) is tuple:
+                    callback, event = item
+                    if type(callback) is Process:
+                        callback._resume(event)
                     else:
-                        raise SimulationError(
-                            "event queue exhausted before target event "
-                            "fired")
-                    count += 1
-                    if type(item) is tuple:
-                        callback, event = item
-                        if type(callback) is Process:
-                            callback._resume(event)
-                        else:
-                            callback(event)
-                        continue
+                        callback(event)
+                    continue
+                else:
                     item._processed = True
                     callback = item._cb
                     if callback is not None:
@@ -583,122 +548,26 @@ class Environment:
                                 else:
                                     callback(item)
                     elif item._exception is not None and not item._defused:
+                        # A failure nobody waited for: surface it rather
+                        # than lose it.
                         raise item._exception
-                if target._exception is not None:
-                    raise target._exception
-                return target._value
-
-            deadline = float("inf") if until is None else float(until)
-            while True:
-                if heap and (not immediate or heap[0][0] <= self._now):
-                    when = heap[0][0]
-                    if when > deadline:
-                        break
-                    when, _seq, item = heappop(heap)
-                    self._now = when
-                elif immediate:
-                    if self._now > deadline:
-                        break
-                    item = immediate.popleft()
-                else:
+                if item is target:
                     break
-                count += 1
-                if type(item) is tuple:
-                    callback, event = item
-                    if type(callback) is Process:
-                        callback._resume(event)
-                    else:
-                        callback(event)
-                    continue
-                item._processed = True
-                callback = item._cb
-                if callback is not None:
-                    item._cb = None
-                    if type(callback) is Process:
-                        callback._resume(item)
-                    else:
-                        callback(item)
-                    more = item._cbs
-                    if more:
-                        item._cbs = None
-                        for callback in more:
-                            if type(callback) is Process:
-                                callback._resume(item)
-                            else:
-                                callback(item)
-                elif item._exception is not None and not item._defused:
-                    raise item._exception
-            if until is not None:
-                self._now = max(self._now, deadline)
-            return None
         finally:
             if gc_was_enabled:
                 gc.enable()
             self.events_processed += count
             _events_processed_total += count
-
-    def _run_profiled(self, until: Optional[float | Event],
-                      profiler: "_profiler.EngineProfiler") -> Any:
-        """:meth:`run` with per-item wall-time attribution.
-
-        Same pop order, same clock advancement, same error and
-        ``events_processed`` semantics as the inlined loops in
-        :meth:`run` -- only dispatch goes through
-        :meth:`_dispatch_profiled`, which brackets each item with host
-        clock reads and feeds the :mod:`repro.obs.profiler` table.
-        """
-        global _events_processed_total
-        heap = self._heap
-        immediate = self._immediate
-        clock = _profiler.perf_counter
-        record = profiler.record
-        count = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if isinstance(until, Event):
-                target = until
-                while not target._processed:
-                    if heap and (not immediate or heap[0][0] <= self._now):
-                        when, _seq, item = heappop(heap)
-                        self._now = when
-                    elif immediate:
-                        item = immediate.popleft()
-                    else:
-                        raise SimulationError(
-                            "event queue exhausted before target event "
-                            "fired")
-                    count += 1
-                    self._dispatch_profiled(item, record, clock)
-                if target._exception is not None:
-                    raise target._exception
-                return target._value
-
-            deadline = float("inf") if until is None else float(until)
-            while True:
-                if heap and (not immediate or heap[0][0] <= self._now):
-                    when = heap[0][0]
-                    if when > deadline:
-                        break
-                    when, _seq, item = heappop(heap)
-                    self._now = when
-                elif immediate:
-                    if self._now > deadline:
-                        break
-                    item = immediate.popleft()
-                else:
-                    break
-                count += 1
-                self._dispatch_profiled(item, record, clock)
+        if target is None:
             if until is not None:
                 self._now = max(self._now, deadline)
             return None
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self.events_processed += count
-            _events_processed_total += count
+        if not target._processed:
+            raise SimulationError(
+                "event queue exhausted before target event fired")
+        if target._exception is not None:
+            raise target._exception
+        return target._value
 
     def _dispatch_profiled(self, item: Any, record, clock) -> None:
         """Dispatch one queued item, attributing its wall time.

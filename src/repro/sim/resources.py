@@ -98,8 +98,7 @@ class Resource:
             if env._fastpath:
                 env._immediate.append(request)
             else:
-                heappush(env._heap, (env._now, env._sequence, request))
-                env._sequence += 1
+                heappush(env._heap, (env._now, env._next_seq(), request))
         else:
             self._queue.append(request)
             self._grant()

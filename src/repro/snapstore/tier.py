@@ -157,11 +157,6 @@ class TierStats:
         """JSON-serializable counter snapshot."""
         return dict(vars(self))
 
-    def as_dict(self) -> dict[str, int]:
-        """Alias of :meth:`to_dict` (historical spelling; cell payloads
-        embed these keys, so both stay stable)."""
-        return self.to_dict()
-
 
 class TierCache:
     """The bounded local tier (see module docstring)."""

@@ -256,6 +256,32 @@ def test_warm_invocation_records_warm_span(tracer):
     assert not tracer.open_spans()
 
 
+def test_phase_spans_and_breakdown_fields_share_one_source(tracer):
+    testbed = Testbed(seed=7)
+    testbed.deploy(toy())
+    cold = testbed.invoke("toy", keep_warm=True)
+    warm = testbed.invoke("toy", use_warm=True)
+    assert warm.mode == "warm"
+
+    def phases(envelope, result):
+        root, = [span for span in tracer.spans_named(envelope)
+                 if span.lane == f"toy#{result.invocation}"]
+        return {span.name: span for span in tracer.spans
+                if span.parent is root}
+
+    cold_phases = phases("cold_start", cold)
+    for name in ("load_vmm", "connection", "processing", "finalize"):
+        value = getattr(cold.breakdown, f"{name}_us")
+        assert value > 0
+        # Exact equality is the point: one begin/end feeds both.
+        # lint: allow[REPRO-D004]
+        assert cold_phases[name].duration_us == value, name
+    warm_processing = phases("warm_start", warm)["processing"]
+    assert warm.breakdown.processing_us > 0
+    # lint: allow[REPRO-D004]
+    assert warm_processing.duration_us == warm.breakdown.processing_us
+
+
 def test_interrupt_mid_restore_closes_spans_with_error(tracer):
     testbed = Testbed(seed=7)
     testbed.deploy(toy())
@@ -346,9 +372,7 @@ def test_stats_to_dict_surfaces():
     assert ReuseStats(3, 1).to_dict()["same_fraction"] == 0.75
     assert LoadStats().to_dict() == {"count": 0, "cold_fraction": 0.0,
                                      "by_mode": {}}
-    tier = TierStats()
-    assert tier.as_dict() == tier.to_dict()
-    assert json.dumps(tier.to_dict())  # JSON-serializable
+    assert json.dumps(TierStats().to_dict())  # JSON-serializable
 
     from repro.core.context import LatencyBreakdown
     breakdown = LatencyBreakdown(policy="vanilla", function="f")

@@ -79,6 +79,23 @@ def test_tiebreak_env_forces_slowpath(monkeypatch):
     assert Environment()._fastpath is True
 
 
+def test_uncontended_grant_key_is_mixed(monkeypatch):
+    # The inline grant in Resource.request must draw its heap key from
+    # the engine's mixer like every other zero-delay occurrence, or it
+    # escapes the shuffle (and its raw key can collide with mixed ones).
+    monkeypatch.setenv("REPRO_SANITIZE_TIEBREAK", "7")
+    env = Environment()
+    resource = Resource(env)
+    request = resource.request()
+    try:
+        (_when, key, item), = env._heap
+        assert item is request
+        assert key == sanitizer.sequence_mixer(7)(0)
+        assert env._sequence == 1
+    finally:
+        resource.release(request)
+
+
 def test_tiebreak_permutes_same_time_ties(monkeypatch):
     baseline = _same_time_wake_order(monkeypatch, None)
     assert [tag for tag, _ in baseline] == list(range(8))

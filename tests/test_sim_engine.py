@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import profiler as obs_profiler
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -535,3 +536,104 @@ def test_events_processed_counters_advance():
         "repro.sim.engine", fromlist=["x"]).events_processed_total()
     assert env.events_processed > 0
     assert after_total - before_total == env.events_processed
+
+
+# -- the single run() loop: all three ``until`` forms, profiler on and off --
+
+
+@pytest.fixture(params=[False, True], ids=["plain", "profiled"])
+def profiled(request):
+    if request.param:
+        obs_profiler.install()
+    yield request.param
+    obs_profiler.uninstall()
+
+
+def _mixed_traffic_run(form):
+    """Heap and immediate-queue traffic under one ``until`` form."""
+    env = Environment()
+
+    def worker(period, value):
+        for _ in range(4):
+            yield env.timeout(period)
+            gate = env.event()
+            gate.succeed()
+            yield gate  # a zero-delay hop through the immediate queue
+        return value
+
+    slow = env.process(worker(7.0, "slow"))
+    env.process(worker(3.0, "fast"))
+    until = {"none": None, "time": 15.0, "event": slow}[form]
+    return env.run(until=until), env.now, env.events_processed
+
+
+@pytest.mark.parametrize("form, expected", [
+    ("none", (None, 28.0)),
+    ("time", (None, 15.0)),
+    ("event", ("slow", 28.0)),
+])
+def test_run_forms_identical_with_and_without_profiler(form, expected):
+    plain = _mixed_traffic_run(form)
+    profiler = obs_profiler.install()
+    try:
+        profiled_run = _mixed_traffic_run(form)
+    finally:
+        obs_profiler.uninstall()
+    assert profiled_run == plain
+    assert plain[:2] == expected
+    assert profiler.total_events == plain[2]
+
+
+def test_run_until_processed_event_returns_immediately(profiled):
+    env = Environment()
+
+    def body():
+        yield env.timeout(1)
+        return "done"
+
+    def bystander():
+        yield env.timeout(5)
+
+    proc = env.process(body())
+    assert env.run(until=proc) == "done"
+    env.process(bystander())
+    before = env.events_processed
+    assert env.run(until=proc) == "done"
+    # Nothing dispatched: the bystander's bootstrap is still queued.
+    assert env.events_processed == before
+    assert env.now == 1
+
+
+def test_callbacks_added_to_target_during_run_still_run(profiled):
+    env = Environment()
+    target = env.event()
+    seen = []
+
+    def late_waiter():
+        yield env.timeout(1)
+        value = yield target
+        seen.append(("waiter", value, env.now))
+
+    def opener():
+        yield env.timeout(2)
+        target._add_callback(
+            lambda event: seen.append(("callback", event.value, env.now)))
+        target.succeed("open")
+
+    env.process(late_waiter())
+    env.process(opener())
+    assert env.run(until=target) == "open"
+    assert sorted(seen) == [("callback", "open", 2), ("waiter", "open", 2)]
+
+
+def test_exhausted_queue_before_target_raises(profiled):
+    env = Environment()
+    never = env.event()
+
+    def body():
+        yield env.timeout(3)
+
+    env.process(body())
+    with pytest.raises(SimulationError, match="exhausted before target"):
+        env.run(until=never)
+    assert env.now == 3
