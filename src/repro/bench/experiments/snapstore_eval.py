@@ -134,7 +134,7 @@ class SnapstoreCapacity(Experiment):
             "stored_bytes": stored,
             "row": {
                 "function": function,
-                "ws_pages": len(behavior.trace_for(0)),
+                "ws_pages": profile.total_working_set_pages,
                 "identical": f"{identical:.1%}",
                 "gen_shared": f"{gen_shared:.1%}",
                 "logical_mb": round(logical / 1e6, 1),

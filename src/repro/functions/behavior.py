@@ -22,6 +22,8 @@ additionally in the invocation index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 from repro.functions.spec import FunctionProfile
 from repro.memory.trace import AccessTrace
@@ -62,7 +64,9 @@ class FunctionBehavior:
         self.seed = seed
         self.epoch = epoch
         self._stream = RandomStream(seed, "behavior", profile.name, epoch)
-        self._occupied: set[int] = set()
+        # Occupancy map of the stable layout: one byte per guest page,
+        # non-zero once a run covers it.
+        self._occupied = bytearray(profile.vm_pages)
         self.layout = self._build_layout()
 
     # -- layout construction ----------------------------------------------
@@ -72,10 +76,10 @@ class FunctionBehavior:
         boot_pages = profile.boot_footprint_pages
         conn_runs = self._draw_runs(
             self._stream.child("conn"), profile.connection_pages,
-            profile.contiguity_mean, 0, boot_pages)
+            profile.contiguity_mean, 0, boot_pages, self._occupied)
         proc_runs = self._draw_runs(
             self._stream.child("proc"), profile.processing_pages,
-            profile.contiguity_mean, 0, boot_pages)
+            profile.contiguity_mean, 0, boot_pages, self._occupied)
         record_runs = proc_runs
         if profile.record_divergence > 0.0:
             record_runs = self._diverge_runs(proc_runs)
@@ -85,14 +89,13 @@ class FunctionBehavior:
             record_processing_runs=tuple(tuple(run) for run in record_runs),
         )
 
-    def _diverge_runs(self,
-                      runs: list[list[int]]) -> list[list[int]]:
+    def _diverge_runs(self, runs: list[range]) -> list[range]:
         """Swap a fraction of processing runs for alternates (record phase)."""
         stream = self._stream.child("divergence")
         divergent_target = int(self.profile.record_divergence
                                * self.profile.processing_pages)
         swapped_pages = 0
-        result: list[list[int]] = []
+        result: list[range] = []
         order = list(range(len(runs)))
         stream.shuffle(order)
         to_swap = set()
@@ -106,62 +109,89 @@ class FunctionBehavior:
                 replacement = self._draw_runs(
                     stream.child("alt", index), len(run),
                     self.profile.contiguity_mean, 0,
-                    self.profile.boot_footprint_pages)
+                    self.profile.boot_footprint_pages, self._occupied)
                 result.extend(replacement)
             else:
                 result.append(run)
         return result
 
-    def _draw_runs(self, stream: RandomStream, total_pages: int,
+    @staticmethod
+    def _draw_runs(stream: RandomStream, total_pages: int,
                    mean_length: float, low: int, high: int,
-                   occupied: set[int] | None = None) -> list[list[int]]:
-        """Place ``total_pages`` as non-overlapping contiguous runs."""
-        if occupied is None:
-            occupied = self._occupied
-        runs: list[list[int]] = []
+                   occupied: bytearray) -> list[range]:
+        """Place ``total_pages`` as non-overlapping contiguous runs.
+
+        Each run takes a geometric length (mean ``mean_length``, capped
+        at the pages still to place), then up to 64 uniform start draws
+        in ``[low, high - length]``; if none lands on a free gap, a
+        linear sweep from one more random start takes the first gap that
+        fits, and if there is none the length halves and placement
+        starts over.  Placed pages are marked in ``occupied``.
+
+        The draws are inlined -- ``RandomStream.geometric`` and
+        ``randint`` (``random.Random._randbelow``) -- and consume the
+        stream exactly as those calls would: traces are a function of
+        the draw sequence, so the order of draws is part of the result.
+        """
+        random = stream._random
+        getrandbits = stream._getrandbits
+        find = occupied.find
+        success = 1.0 / mean_length
+        runs: list[range] = []
         remaining = total_pages
         while remaining > 0:
-            length = min(stream.geometric(mean_length), remaining)
-            run = None
-            while run is None:
-                run = self._place_run(stream, length, low, high, occupied)
-                if run is None:
-                    # Dense region: free space is fragmented into gaps
-                    # shorter than the drawn run; degrade gracefully.
-                    if length == 1:
-                        raise ValueError(
-                            f"region [{low}, {high}) has no free page for "
-                            f"the working set")
-                    length = max(1, length // 2)
-            occupied.update(run)
-            runs.append(run)
-            remaining -= len(run)
+            length = 1
+            if mean_length != 1.0:
+                # Inverse-transform geometric draw (RandomStream.geometric).
+                while random() > success:
+                    length += 1
+                if length > remaining:
+                    length = remaining
+            while True:
+                span = high - low - length
+                if span >= 0:
+                    # randint(0, span): rejection-sampled getrandbits.
+                    bound = span + 1
+                    bits = bound.bit_length()
+                    for _attempt in range(64):
+                        offset = getrandbits(bits)
+                        while offset >= bound:
+                            offset = getrandbits(bits)
+                        start = low + offset
+                        if length == 1:
+                            if not occupied[start]:
+                                break
+                        elif find(1, start, start + length) < 0:
+                            break
+                    else:
+                        # Dense region: fall back to a linear sweep from
+                        # a random point.
+                        offset = getrandbits(bits)
+                        while offset >= bound:
+                            offset = getrandbits(bits)
+                        origin = low + offset
+                        for start in chain(range(origin, low + bound),
+                                           range(low, origin)):
+                            if find(1, start, start + length) < 0:
+                                break
+                        else:
+                            start = -1
+                    if start >= 0:
+                        break
+                # Dense region: free space is fragmented into gaps
+                # shorter than the drawn run; degrade gracefully.
+                if length == 1:
+                    raise ValueError(
+                        f"region [{low}, {high}) has no free page for "
+                        f"the working set")
+                length //= 2
+            if length == 1:
+                occupied[start] = 1
+            else:
+                occupied[start:start + length] = b"\x01" * length
+            runs.append(range(start, start + length))
+            remaining -= length
         return runs
-
-    @staticmethod
-    def _place_run(stream: RandomStream, length: int, low: int, high: int,
-                   occupied: set[int]) -> list[int] | None:
-        """Place one run, or return ``None`` if no gap fits it."""
-        span = high - low - length
-        if span < 0:
-            return None
-        # isdisjoint over a range matches the all(... not in ...) check
-        # page for page, in C.
-        isdisjoint = occupied.isdisjoint
-        randint = stream.randint
-        for _attempt in range(64):
-            start = low + randint(0, span)
-            candidate = range(start, start + length)
-            if isdisjoint(candidate):
-                return list(candidate)
-        # Dense region: fall back to a linear sweep from a random point.
-        start = low + randint(0, span)
-        for base in list(range(start, high - length + 1)) \
-                + list(range(low, start)):
-            candidate = range(base, base + length)
-            if isdisjoint(candidate):
-                return list(candidate)
-        return None
 
     # -- per-invocation traces ----------------------------------------------
 
@@ -174,47 +204,45 @@ class FunctionBehavior:
         effect, where the recorded input is unrepresentative).
         """
         profile = self.profile
+        layout = self.layout
         stream = self._stream.child("invocation", invocation)
-        conn_runs = [list(run) for run in self.layout.connection_runs]
+        conn_runs = list(layout.connection_runs)
         stream.child("conn-order").shuffle(conn_runs)
-        if record:
-            stable_runs = [list(run)
-                           for run in self.layout.record_processing_runs]
-        else:
-            stable_runs = [list(run) for run in self.layout.processing_runs]
-        unique_runs = self._draw_unique_runs(stream.child("unique"))
-        merged = stable_runs + unique_runs
+        stable_runs = (layout.record_processing_runs if record
+                       else layout.processing_runs)
+        merged: list[Sequence[int]] = [
+            *stable_runs, *self._draw_unique_runs(stream.child("unique"))]
         stream.child("proc-order").shuffle(merged)
-        connection_pages = tuple(
-            [page for run in conn_runs for page in run])
-        processing_pages = tuple(
-            [page for run in merged for page in run])
+        # Flatten through a list: tuple() over an iterator grows the
+        # tuple by repeated reallocation, which fragments the heap and
+        # raises peak RSS.
         return AccessTrace(
-            connection_pages=connection_pages,
-            processing_pages=processing_pages,
+            connection_pages=tuple(
+                [page for run in conn_runs for page in run]),
+            processing_pages=tuple([page for run in merged for page in run]),
             connection_compute_us=profile.connection_warm_ms * MS,
             processing_compute_us=profile.warm_ms * MS,
             label=f"{profile.name}#{invocation}",
         )
 
-    def _draw_unique_runs(self, stream: RandomStream) -> list[list[int]]:
+    def _draw_unique_runs(self, stream: RandomStream) -> list[range]:
         profile = self.profile
         zero_count = int(profile.unique_pages * profile.unique_zero_fraction)
         inside_count = profile.unique_pages - zero_count
         # Unique pages are drawn per invocation; they avoid the stable set
-        # (tracked in self._occupied) but different invocations may reuse
+        # (marked in self._occupied) but different invocations may reuse
         # each other's locations, exactly like a real allocator would.
-        local_occupied = set(self._occupied)
+        local_occupied = self._occupied[:]
         runs = self._draw_runs(
             stream.child("inside"), inside_count,
             profile.unique_contiguity_mean, 0,
-            profile.boot_footprint_pages, occupied=local_occupied)
+            profile.boot_footprint_pages, local_occupied)
         if zero_count > 0:
             runs += self._draw_runs(
                 stream.child("zero"), zero_count,
                 profile.unique_contiguity_mean,
                 profile.boot_footprint_pages, profile.vm_pages,
-                occupied=local_occupied)
+                local_occupied)
         return runs
 
     # -- helpers for boot and analysis ---------------------------------------

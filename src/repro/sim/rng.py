@@ -43,11 +43,14 @@ class RandomStream:
         self._seed = derive_seed(seed, *path) if path else seed
         self._path = path
         self._rng = random.Random(self._seed)
-        # Bound method caches for the hot-loop distributions; both
-        # shortcuts consume the underlying stream exactly like the
-        # random.Random public wrappers they bypass.
+        # Bound method caches for the hot-loop distributions; every
+        # shortcut consumes the underlying stream exactly like the
+        # random.Random public wrappers it bypasses.  The working-set
+        # placement loop (repro.functions.behavior) draws through
+        # _random and _getrandbits directly.
         self._randbelow = self._rng._randbelow
         self._random = self._rng.random
+        self._getrandbits = self._rng.getrandbits
 
     @property
     def seed(self) -> int:
@@ -106,8 +109,21 @@ class RandomStream:
         return self._rng.sample(population, k)
 
     def shuffle(self, items: list[T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._rng.shuffle(items)
+        """Shuffle ``items`` in place.
+
+        Same permutation and same stream state afterwards as
+        ``random.Random.shuffle``: its ``_randbelow`` is inlined, so every
+        ``getrandbits`` call, rejection and swap happens at the same
+        position.
+        """
+        getrandbits = self._getrandbits
+        for i in reversed(range(1, len(items))):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
 
     def gauss(self, mu: float, sigma: float) -> float:
         """Normal variate."""

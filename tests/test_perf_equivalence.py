@@ -14,7 +14,12 @@ ways:
 * the engine fast path (immediate deque, inline dispatch) is compared
   against the reference heap path (``REPRO_ENGINE_SLOWPATH``) on a real
   three-scheme experiment: byte-identical payloads and assembled rows,
-  and the same number of processed events.
+  and the same number of processed events;
+* the fused working-set placement loop of
+  :class:`repro.functions.FunctionBehavior` and the inlined
+  :meth:`RandomStream.shuffle` are compared against the original
+  set-based generator and ``random.Random.shuffle``: identical layouts,
+  traces, and generator state afterwards.
 """
 
 from __future__ import annotations
@@ -26,10 +31,16 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bench.cache import canonicalize
+from repro.functions import FunctionBehavior, FunctionProfile
+from repro.functions.behavior import WorkingSetLayout
+from repro.functions.catalog import catalog_names, get_profile
 from repro.functions.content import page_bytes
 from repro.memory import working_set as ws
+from repro.memory.trace import AccessTrace
 from repro.sim import engine as sim_engine
 from repro.sim.engine import Environment
+from repro.sim.rng import RandomStream
+from repro.sim.units import MS
 from repro.snapstore.chunks import (
     ChunkIndex,
     ZERO_PAGE_DIGEST,
@@ -490,3 +501,284 @@ def test_fig7_cell_digest_matches_golden():
 
     assert_cell_digest_stable("fig7", repetitions=2,
                               function="helloworld")
+
+
+# ---------------------------------------------------------------------------
+# functions.behavior: fused placement loop vs the original code.
+# ---------------------------------------------------------------------------
+
+
+def ref_shuffle(stream, items):
+    """The library shuffle RandomStream.shuffle originally delegated to."""
+    stream._rng.shuffle(items)
+
+
+class RefBehavior:
+    """The original set-occupancy layout and trace generator."""
+
+    def __init__(self, profile, seed=42, epoch=0):
+        self.profile = profile
+        self._stream = RandomStream(seed, "behavior", profile.name, epoch)
+        self._occupied = set()
+        self.layout = self._build_layout()
+
+    def _build_layout(self):
+        profile = self.profile
+        boot_pages = profile.boot_footprint_pages
+        conn_runs = self._draw_runs(
+            self._stream.child("conn"), profile.connection_pages,
+            profile.contiguity_mean, 0, boot_pages)
+        proc_runs = self._draw_runs(
+            self._stream.child("proc"), profile.processing_pages,
+            profile.contiguity_mean, 0, boot_pages)
+        record_runs = proc_runs
+        if profile.record_divergence > 0.0:
+            record_runs = self._diverge_runs(proc_runs)
+        return WorkingSetLayout(
+            connection_runs=tuple(tuple(run) for run in conn_runs),
+            processing_runs=tuple(tuple(run) for run in proc_runs),
+            record_processing_runs=tuple(tuple(run) for run in record_runs),
+        )
+
+    def _diverge_runs(self, runs):
+        stream = self._stream.child("divergence")
+        divergent_target = int(self.profile.record_divergence
+                               * self.profile.processing_pages)
+        swapped_pages = 0
+        result = []
+        order = list(range(len(runs)))
+        ref_shuffle(stream, order)
+        to_swap = set()
+        for index in order:
+            if swapped_pages >= divergent_target:
+                break
+            to_swap.add(index)
+            swapped_pages += len(runs[index])
+        for index, run in enumerate(runs):
+            if index in to_swap:
+                replacement = self._draw_runs(
+                    stream.child("alt", index), len(run),
+                    self.profile.contiguity_mean, 0,
+                    self.profile.boot_footprint_pages)
+                result.extend(replacement)
+            else:
+                result.append(run)
+        return result
+
+    def _draw_runs(self, stream, total_pages, mean_length, low, high,
+                   occupied=None):
+        if occupied is None:
+            occupied = self._occupied
+        runs = []
+        remaining = total_pages
+        while remaining > 0:
+            length = min(stream.geometric(mean_length), remaining)
+            run = None
+            while run is None:
+                run = self._place_run(stream, length, low, high, occupied)
+                if run is None:
+                    if length == 1:
+                        raise ValueError(
+                            f"region [{low}, {high}) has no free page for "
+                            f"the working set")
+                    length = max(1, length // 2)
+            occupied.update(run)
+            runs.append(run)
+            remaining -= len(run)
+        return runs
+
+    @staticmethod
+    def _place_run(stream, length, low, high, occupied):
+        span = high - low - length
+        if span < 0:
+            return None
+        isdisjoint = occupied.isdisjoint
+        randint = stream.randint
+        for _attempt in range(64):
+            start = low + randint(0, span)
+            candidate = range(start, start + length)
+            if isdisjoint(candidate):
+                return list(candidate)
+        start = low + randint(0, span)
+        for base in list(range(start, high - length + 1)) \
+                + list(range(low, start)):
+            candidate = range(base, base + length)
+            if isdisjoint(candidate):
+                return list(candidate)
+        return None
+
+    def trace_for(self, invocation, record=False):
+        profile = self.profile
+        stream = self._stream.child("invocation", invocation)
+        conn_runs = [list(run) for run in self.layout.connection_runs]
+        ref_shuffle(stream.child("conn-order"), conn_runs)
+        if record:
+            stable_runs = [list(run)
+                           for run in self.layout.record_processing_runs]
+        else:
+            stable_runs = [list(run) for run in self.layout.processing_runs]
+        unique_runs = self._draw_unique_runs(stream.child("unique"))
+        merged = stable_runs + unique_runs
+        ref_shuffle(stream.child("proc-order"), merged)
+        connection_pages = tuple(
+            [page for run in conn_runs for page in run])
+        processing_pages = tuple(
+            [page for run in merged for page in run])
+        return AccessTrace(
+            connection_pages=connection_pages,
+            processing_pages=processing_pages,
+            connection_compute_us=profile.connection_warm_ms * MS,
+            processing_compute_us=profile.warm_ms * MS,
+            label=f"{profile.name}#{invocation}",
+        )
+
+    def _draw_unique_runs(self, stream):
+        profile = self.profile
+        zero_count = int(profile.unique_pages * profile.unique_zero_fraction)
+        inside_count = profile.unique_pages - zero_count
+        local_occupied = set(self._occupied)
+        runs = self._draw_runs(
+            stream.child("inside"), inside_count,
+            profile.unique_contiguity_mean, 0,
+            profile.boot_footprint_pages, occupied=local_occupied)
+        if zero_count > 0:
+            runs += self._draw_runs(
+                stream.child("zero"), zero_count,
+                profile.unique_contiguity_mean,
+                profile.boot_footprint_pages, profile.vm_pages,
+                occupied=local_occupied)
+        return runs
+
+
+#: The dense, full-divergence and contiguity_mean=1 profiles of
+#: test_edge_cases.py, which reach the sweep, the divergence and the
+#: draw-free geometric branches.
+EDGE_PROFILES = {
+    "dense": FunctionProfile(
+        name="dense", description="nearly full footprint",
+        vm_memory_mb=8, boot_footprint_mb=1.0, warm_ms=1.0,
+        connection_pages=40, processing_pages=200, unique_pages=0,
+        contiguity_mean=2.0),
+    "diverge": FunctionProfile(
+        name="diverge", description="completely unstable",
+        vm_memory_mb=16, boot_footprint_mb=4.0, warm_ms=1.0,
+        connection_pages=50, processing_pages=100, unique_pages=0,
+        contiguity_mean=2.0, record_divergence=1.0),
+    "single": FunctionProfile(
+        name="single", description="no contiguity",
+        vm_memory_mb=64, boot_footprint_mb=32.0, warm_ms=1.0,
+        connection_pages=100, processing_pages=100, unique_pages=0,
+        contiguity_mean=1.0),
+}
+
+
+def _assert_behaviors_agree(profile):
+    for seed in (7, 42):
+        for epoch in (0, 1):
+            fast = FunctionBehavior(profile, seed=seed, epoch=epoch)
+            reference = RefBehavior(profile, seed=seed, epoch=epoch)
+            assert fast.layout == reference.layout
+            for invocation in range(8):
+                for record in (False, True):
+                    got = fast.trace_for(invocation, record=record)
+                    want = reference.trace_for(invocation, record=record)
+                    assert got == want, (profile.name, seed, epoch,
+                                         invocation, record)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_behavior_matches_reference_catalog(name):
+    _assert_behaviors_agree(get_profile(name))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PROFILES))
+def test_behavior_matches_reference_edge_profiles(name):
+    _assert_behaviors_agree(EDGE_PROFILES[name])
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 64, 1000, 5000])
+def test_stream_shuffle_matches_library_shuffle(length):
+    stream = RandomStream(1234)
+    library = random.Random(1234)
+    got = list(range(length))
+    want = list(range(length))
+    stream.shuffle(got)
+    library.shuffle(want)
+    assert got == want
+    # Callers keep drawing from the stream after a shuffle, so the
+    # generator state must match too.
+    assert stream.random() == library.random()
+
+
+def _draw_both(mean_length, low, high, occupied_pages, total_pages):
+    """Run the fused loop and the reference on the same region.
+
+    Returns the reference runs and the number of ``getrandbits`` draws
+    the fused loop made.
+    """
+    occupied = bytearray(high)
+    for page in occupied_pages:
+        occupied[page] = 1
+    reference_occupied = set(occupied_pages)
+    fast_stream = RandomStream(5, "edge")
+    draws = 0
+    getrandbits = fast_stream._getrandbits
+
+    def counting_getrandbits(k):
+        nonlocal draws
+        draws += 1
+        return getrandbits(k)
+
+    fast_stream._getrandbits = counting_getrandbits
+    reference_stream = RandomStream(5, "edge")
+    fast = FunctionBehavior._draw_runs(
+        fast_stream, total_pages, mean_length, low, high, occupied)
+    reference = RefBehavior.__new__(RefBehavior)._draw_runs(
+        reference_stream, total_pages, mean_length, low, high,
+        reference_occupied)
+    assert [list(run) for run in fast] == reference
+    assert {page for page in range(high) if occupied[page]} \
+        == reference_occupied
+    assert fast_stream.random() == reference_stream.random()
+    return reference, draws
+
+
+@pytest.mark.parametrize("high", [63, 64, 65, 128])
+def test_draw_runs_matches_reference_at_power_of_two_spans(high):
+    # randint(0, span) draws (span + 1).bit_length() bits; a region whose
+    # span + 1 is a power of two is where a width off by one shows.
+    _draw_both(1.0, 0, high, [], total_pages=high // 2)
+    _draw_both(2.0, 0, high, [], total_pages=high // 2)
+
+
+def test_draw_runs_halves_length_when_no_gap_fits():
+    # Free space in [0, 200) is gaps of two pages, and runs average 8
+    # pages, so most drawn lengths must halve before they fit.
+    occupied_pages = [page for page in range(200) if page % 3 == 2]
+    runs, _draws = _draw_both(8.0, 0, 200, occupied_pages, total_pages=60)
+    assert max(len(run) for run in runs) == 2
+    assert sum(len(run) for run in runs) == 60
+
+
+def test_draw_runs_sweeps_a_nearly_full_region():
+    # Three free pages among 2000: the 64 random attempts of a placement
+    # mostly miss, so it falls through to the linear sweep (the 65th
+    # draw picks the sweep's starting point).
+    free = {17, 1001, 1888}
+    occupied_pages = [page for page in range(2000) if page not in free]
+    runs, draws = _draw_both(1.0, 0, 2000, occupied_pages, total_pages=3)
+    assert {run[0] for run in runs} == free
+    assert draws > 64
+
+
+def test_draw_runs_full_region_raises_like_reference():
+    occupied = bytearray(64)
+    occupied[10:50] = b"\x01" * 40
+    with pytest.raises(ValueError) as fast_error:
+        FunctionBehavior._draw_runs(
+            RandomStream(5, "edge"), 1, 3.0, 10, 50, occupied)
+    with pytest.raises(ValueError) as reference_error:
+        RefBehavior.__new__(RefBehavior)._draw_runs(
+            RandomStream(5, "edge"), 1, 3.0, 10, 50, set(range(10, 50)))
+    assert str(fast_error.value) == str(reference_error.value)
+    assert "no free page" in str(fast_error.value)
