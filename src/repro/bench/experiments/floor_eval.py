@@ -50,9 +50,6 @@ MIXES = ("sporadic", "periodic", "azure")
 #: The contestants, in ranking-table order.
 SCHEMES = POLICY_SCHEMES
 
-#: Schemes that need the policy layer installed.
-_LAYER_SCHEMES = ("overlap", "predict", "shared", "prewarm")
-
 #: The warm-floor reference cell label.
 WARM_FLOOR = "warmfloor"
 
@@ -102,10 +99,9 @@ class FloorStudy(Experiment):
         trace = synthesize(TraceSpec(
             functions=functions, rate_class=mix,
             duration_s=duration_s), seed=seed)
-        policy_params = None
-        if scheme in _LAYER_SCHEMES:
-            policy_params = PolicyLayerParameters(
-                scheme=scheme, memory_budget_mb=budget_mb)
+        policy_params = PolicyLayerParameters(
+            scheme="reap" if scheme == WARM_FLOOR else scheme,
+            memory_budget_mb=budget_mb)
         testbed = Testbed(seed=seed, policy_params=policy_params)
         for name in functions:
             testbed.deploy(get_profile(name))
@@ -138,24 +134,22 @@ class FloorStudy(Experiment):
 
         def drive():
             stats = yield from replayer.run()
-            if layer is not None:
-                # Cancel prewarm timers, then let one engine tick
-                # deliver the interrupts so an in-flight speculative
-                # restore unwinds (releasing its locks) inside the run.
-                layer.stop()
-                yield testbed.env.timeout(MS)
+            # Cancel prewarm timers, then let one engine tick deliver
+            # the interrupts so an in-flight speculative restore unwinds
+            # (releasing its locks) inside the run.
+            layer.stop()
+            yield testbed.env.timeout(MS)
             return stats
 
         stats = testbed.run(drive())
         scaler.stop()
         pooled = _pooled(stats)
         extras: dict[str, int] = {}
-        if layer is not None:
-            if layer.residency is not None:
-                extras["shared_hits"] = layer.residency.shared_hits
-            if layer.prewarm is not None:
-                extras["prewarms"] = layer.prewarm.prewarms
-                extras["prewarm_skipped"] = layer.prewarm.skipped
+        if layer.residency is not None:
+            extras["shared_hits"] = layer.residency.shared_hits
+        if layer.prewarm is not None:
+            extras["prewarms"] = layer.prewarm.prewarms
+            extras["prewarm_skipped"] = layer.prewarm.skipped
         return {
             "p50_ms": pooled["p50_ms"],
             "p99_ms": pooled["p99_ms"],
@@ -197,9 +191,10 @@ class FloorStudy(Experiment):
             floor_row["gap_p50_ms"] = 0.0
             floor_row["rank"] = "-"
             result.metrics[f"{mix}_best_gap_p50_ms"] = gaps[ranked[0]]
-            zoo = [scheme for scheme in _LAYER_SCHEMES if scheme in gaps]
+            zoo_best = min(gap for scheme, gap in gaps.items()
+                           if scheme not in ("vanilla", "reap"))
             result.metrics[f"{mix}_zoo_beats_reap"] = float(
-                min(gaps[scheme] for scheme in zoo) < gaps["reap"])
+                zoo_best < gaps["reap"])
         result.rows = collect(payloads, "row")
         result.notes.append(
             "gap_p50_ms is each scheme's median distance to the "

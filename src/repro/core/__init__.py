@@ -25,14 +25,12 @@ from repro.core.files import ReapArtifacts, TraceFile, WorkingSetFile
 from repro.core.manager import FunctionReapState, ReapManager, ReapParameters
 from repro.core.monitor import PrefetchMonitor, RecordMonitor, UffdMonitor
 from repro.core.policies import (
-    POLICIES,
     ParallelPfPolicy,
     ReapPolicy,
     RecordPolicy,
     RestorePolicy,
     VanillaPolicy,
     WsFilePolicy,
-    make_policy,
 )
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "ParallelPfPolicy",
     "WsFilePolicy",
     "ReapPolicy",
-    "POLICIES",
-    "make_policy",
     "ReapManager",
     "ReapParameters",
     "FunctionReapState",

@@ -22,11 +22,7 @@ from typing import Optional
 
 from repro.core.context import LatencyBreakdown
 from repro.core.files import ReapArtifacts
-from repro.core.policies import (
-    PREFETCH_POLICIES,
-    RestorePolicy,
-    make_policy,
-)
+from repro.core.policies import RestorePolicy
 from repro.obs import tracer as obs_tracer
 from repro.vm.host import WorkerHost
 from repro.vm.snapshot import Snapshot
@@ -63,10 +59,10 @@ class FunctionReapState:
     fallback_to_vanilla: bool = False
     prefetch_invocations: int = 0
     history: list[str] = field(default_factory=list)
-    #: Working-set generations (recorded sets plus, under the
-    #: ``predict`` scheme, demanded sets) -- the cross-generation
-    #: prediction source (:mod:`repro.policies.predict`).  Appenders
-    #: keep the newest :data:`WS_HISTORY_LIMIT`.
+    #: Working-set generations (recorded sets plus the sets ``predict``
+    #: invocations demanded) -- the cross-generation prediction source
+    #: (:mod:`repro.policies.predict`).  :meth:`ReapManager.complete`
+    #: appends them and keeps the newest :data:`WS_HISTORY_LIMIT`.
     ws_history: list[frozenset[int]] = field(default_factory=list)
 
 
@@ -84,6 +80,9 @@ class ReapManager:
         self._states: dict[str, FunctionReapState] = {}
         #: Trace process name (the owning orchestrator overrides it).
         self.obs_proc = "worker0"
+        #: Live-instance chunk residency for the ``shared`` policy (the
+        #: policy layer installs one under that scheme).
+        self.residency = None
 
     def state_for(self, function_name: str) -> FunctionReapState:
         """The (possibly fresh) state of a function."""
@@ -98,42 +97,44 @@ class ReapManager:
             return "record"
         return "reap"
 
-    def policy_for(self, snapshot: Snapshot,
-                   breakdown: LatencyBreakdown,
-                   mode: str | None = None) -> RestorePolicy:
-        """Build the policy for a cold invocation.
+    def policy_for(self, snapshot: Snapshot, breakdown: LatencyBreakdown,
+                   policy_cls: type[RestorePolicy]) -> RestorePolicy:
+        """Build the ``policy_cls`` instance for one restore.
 
-        ``mode`` overrides automatic selection (used by the design-point
-        benchmarks to force ``parallel_pf``/``ws_file``/``vanilla``).
+        The one construction site of every policy: a prefetching policy
+        gets the recorded artifacts (and fails without them), every
+        policy its declared inputs and this worker's trace process name.
         """
         state = self.state_for(snapshot.function_name)
-        selected = mode or self.mode_for(snapshot.function_name)
-        kwargs = {}
-        if selected == "parallel_pf":
-            kwargs["workers"] = self.params.parallel_workers
-        artifacts = state.artifacts
-        if selected in PREFETCH_POLICIES and artifacts is None:
-            raise RuntimeError(
-                f"{snapshot.function_name}: no recorded artifacts for "
-                f"policy {selected!r}")
-        if selected in ("vanilla", "record"):
-            artifacts = None
-        return make_policy(selected, self.host, snapshot, breakdown,
-                           artifacts=artifacts, **kwargs)
+        artifacts = None
+        if policy_cls.prefetches:
+            artifacts = state.artifacts
+            if artifacts is None:
+                raise RuntimeError(
+                    f"{snapshot.function_name}: no recorded artifacts for "
+                    f"policy {policy_cls.name!r}")
+        policy = policy_cls(self.host, snapshot, breakdown, artifacts,
+                            **policy_cls.inputs(self, state))
+        policy.obs_proc = self.obs_proc
+        return policy
 
     def complete(self, function_name: str, policy: RestorePolicy) -> None:
         """Feed one finished cold invocation back into the state machine."""
         state = self.state_for(function_name)
         state.history.append(policy.name)
         tracer = obs_tracer.ACTIVE
-        if policy.name == "record":
-            if policy.artifacts is None:
-                raise RuntimeError("record policy finished without artifacts")
+        recording = policy.name == "record"
+        if recording and policy.artifacts is None:
+            raise RuntimeError("record policy finished without artifacts")
+        generation = (policy.artifacts.page_set if recording
+                      else policy.demanded_pages)
+        if generation:
+            state.ws_history.append(frozenset(generation))
+            del state.ws_history[:-WS_HISTORY_LIMIT]
+        if recording:
             state.artifacts = policy.artifacts
             state.records_done += 1
             state.mispredict_streak = 0
-            state.ws_history.append(frozenset(policy.artifacts.pages))
-            del state.ws_history[:-WS_HISTORY_LIMIT]
             if self.store is not None:
                 self.store.register_reap_artifacts(function_name,
                                                    policy.artifacts)
@@ -143,10 +144,10 @@ class ReapManager:
                                args={"function": function_name,
                                      "records_done": state.records_done})
             return
-        if policy.name not in PREFETCH_POLICIES:
+        if not policy.prefetches:
             return
         state.prefetch_invocations += 1
-        monitor = getattr(policy, "monitor", None)
+        monitor = policy.monitor
         if monitor is None:
             return
         # §7.2: compare the demand faults taken *after* the working set

@@ -3,7 +3,11 @@
 A policy owns everything between "VMM state is loaded" and "instance
 stopped": how guest memory is (or is not) populated before resume, how
 demand faults are served during execution, and what artifacts are
-produced afterwards.  The five policies map to the paper as:
+produced afterwards.  Each class declares its inputs (the artifact
+kinds it reads, whether it prefetches, extra constructor keywords);
+:meth:`repro.core.manager.ReapManager.policy_for` builds every policy
+and :data:`repro.policies.POLICIES` registers them all.  The five here
+map to the paper as:
 
 ==============  ==========================================================
 ``vanilla``     Baseline Firecracker snapshots: kernel lazy paging from
@@ -25,7 +29,7 @@ from __future__ import annotations
 import abc
 import itertools
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.context import LatencyBreakdown
 from repro.core.files import ReapArtifacts, TraceFile
@@ -40,6 +44,9 @@ from repro.vm.microvm import MicroVM
 from repro.vm.snapshot import Snapshot
 from repro.vm.vcpu import FaultHandler
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.manager import FunctionReapState, ReapManager
+
 _policy_ids = itertools.count()
 
 
@@ -48,6 +55,19 @@ class RestorePolicy(abc.ABC):
 
     name: str = "abstract"
     backing: BackingMode = BackingMode.FILE_LAZY
+    #: Artifact kinds a tiered store promotes and pins before the restore.
+    artifact_kinds: tuple[str, ...] = ("vmm", "mem")
+    #: Installs recorded pages before resume: needs recorded artifacts
+    #: and takes part in the §7.1/§7.2 misprediction accounting.
+    prefetches: bool = False
+    #: Trace process name (the manager sets the owning worker's).
+    obs_proc: str = "worker0"
+    #: The userfaultfd and its serving monitor (uffd policies only).
+    uffd: Optional[UserFaultFd] = None
+    monitor: Optional[UffdMonitor] = None
+    #: Pages demand-faulted this invocation that join the function's
+    #: working-set history (``predict`` collects them).
+    demanded_pages: frozenset[int] = frozenset()
 
     def __init__(self, host: WorkerHost, snapshot: Snapshot,
                  breakdown: LatencyBreakdown,
@@ -58,6 +78,17 @@ class RestorePolicy(abc.ABC):
         self.artifacts = artifacts
         self.policy_id = next(_policy_ids)
         breakdown.policy = self.name
+
+    @classmethod
+    def inputs(cls, manager: "ReapManager",
+               state: "FunctionReapState") -> dict[str, Any]:
+        """Extra constructor keywords drawn from the REAP manager."""
+        return {}
+
+    @property
+    def prefetched_page_set(self) -> Optional[frozenset[int]]:
+        """Pages installed before resume (``None`` for lazy policies)."""
+        return self.artifacts.page_set if self.prefetches else None
 
     def attach(self, vm: MicroVM) -> None:
         """Bind to a freshly instantiated VM (register uffd, start monitor)."""
@@ -132,13 +163,6 @@ class _UffdPolicy(RestorePolicy):
 
     backing = BackingMode.UFFD
 
-    def __init__(self, host: WorkerHost, snapshot: Snapshot,
-                 breakdown: LatencyBreakdown,
-                 artifacts: Optional[ReapArtifacts] = None) -> None:
-        super().__init__(host, snapshot, breakdown, artifacts)
-        self.uffd: Optional[UserFaultFd] = None
-        self.monitor: Optional[UffdMonitor] = None
-
     def attach(self, vm: MicroVM) -> None:
         self.uffd = UserFaultFd(self.host.env, vm.memory)
         self.monitor = self._make_monitor(vm)
@@ -163,11 +187,22 @@ class _UffdPolicy(RestorePolicy):
                                                Optional[ReapArtifacts]]:
         if self.monitor is not None:
             self.monitor.stop()
-            self.breakdown.demand_faults += self.monitor.demand_faults
-            self.breakdown.major_faults += self.monitor.major_faults
-            self.breakdown.zero_faults += self.monitor.zero_faults
+            self._fold_fault_counts()
         return None
         yield  # pragma: no cover
+
+    def _fold_fault_counts(self) -> None:
+        """Add the monitor's fault counters to the breakdown."""
+        monitor = self.monitor
+        self.breakdown.demand_faults += monitor.demand_faults
+        self.breakdown.major_faults += monitor.major_faults
+        self.breakdown.zero_faults += monitor.zero_faults
+
+    def _load_trace(self) -> Generator[Event, Any, TraceFile]:
+        trace_file = self.artifacts.trace.file
+        yield from self.host.page_cache.read(
+            trace_file, 0, self.artifacts.trace.serialized_size)
+        return TraceFile.load(trace_file)
 
     def _artifact_prefix(self, vm: MicroVM) -> str:
         return (f"reap/{self.snapshot.function_name}"
@@ -192,9 +227,7 @@ class RecordPolicy(_UffdPolicy):
             raise RuntimeError("record policy finished without attach()")
         monitor.stop()
         artifacts = yield from monitor.finalize()
-        self.breakdown.demand_faults += monitor.demand_faults
-        self.breakdown.major_faults += monitor.major_faults
-        self.breakdown.zero_faults += monitor.zero_faults
+        self._fold_fault_counts()
         self.artifacts = artifacts
         return artifacts
 
@@ -203,15 +236,20 @@ class ParallelPfPolicy(_UffdPolicy):
     """Design point: parallel trace-driven page reads (no WS file)."""
 
     name = "parallel_pf"
+    artifact_kinds = ("vmm", "trace", "mem")
+    prefetches = True
 
     def __init__(self, host: WorkerHost, snapshot: Snapshot,
                  breakdown: LatencyBreakdown,
                  artifacts: Optional[ReapArtifacts] = None,
                  workers: int = 16) -> None:
-        if artifacts is None:
-            raise ValueError("parallel_pf needs recorded artifacts")
         super().__init__(host, snapshot, breakdown, artifacts)
         self.workers = workers
+
+    @classmethod
+    def inputs(cls, manager: "ReapManager",
+               state: "FunctionReapState") -> dict[str, Any]:
+        return {"workers": manager.params.parallel_workers}
 
     def _make_monitor(self, vm: MicroVM) -> UffdMonitor:
         return PrefetchMonitor(self.host, self.uffd,
@@ -247,25 +285,14 @@ class ParallelPfPolicy(_UffdPolicy):
         self.breakdown.fetch_ws_us = env.now - started
         self.breakdown.prefetched_pages = len(trace.pages)
 
-    def _load_trace(self) -> Generator[Event, Any, TraceFile]:
-        trace_file = self.artifacts.trace.file
-        yield from self.host.page_cache.read(
-            trace_file, 0, self.artifacts.trace.serialized_size)
-        return TraceFile.load(trace_file)
-
 
 class WsFilePolicy(_UffdPolicy):
     """Design point: one *buffered* WS-file read, then eager install."""
 
     name = "ws_file"
+    artifact_kinds = ("vmm", "trace", "ws")
+    prefetches = True
     direct_io = False
-
-    def __init__(self, host: WorkerHost, snapshot: Snapshot,
-                 breakdown: LatencyBreakdown,
-                 artifacts: Optional[ReapArtifacts] = None) -> None:
-        if artifacts is None:
-            raise ValueError(f"{self.name} needs recorded artifacts")
-        super().__init__(host, snapshot, breakdown, artifacts)
 
     def _make_monitor(self, vm: MicroVM) -> UffdMonitor:
         return PrefetchMonitor(self.host, self.uffd,
@@ -298,50 +325,9 @@ class WsFilePolicy(_UffdPolicy):
         self.breakdown.install_ws_us = env.now - started
         self.breakdown.prefetched_pages = len(trace.pages)
 
-    def _load_trace(self) -> Generator[Event, Any, TraceFile]:
-        trace_file = self.artifacts.trace.file
-        yield from self.host.page_cache.read(
-            trace_file, 0, self.artifacts.trace.serialized_size)
-        return TraceFile.load(trace_file)
-
 
 class ReapPolicy(WsFilePolicy):
     """Full REAP: O_DIRECT WS fetch + eager install (§5.2.2-5.2.3)."""
 
     name = "reap"
     direct_io = True
-
-
-POLICIES: dict[str, type[RestorePolicy]] = {
-    policy.name: policy
-    for policy in (VanillaPolicy, RecordPolicy, ParallelPfPolicy,
-                   WsFilePolicy, ReapPolicy)
-}
-
-#: Policies that eagerly install recorded pages before resume; only
-#: these can leave prefetched pages untouched (§7.1 mispredictions).
-#: The last three live in :mod:`repro.policies` (the floor_study zoo)
-#: and are unreachable unless that layer -- or a forced mode -- names
-#: them, so listing them here costs the default path nothing.
-PREFETCH_POLICIES: tuple[str, ...] = ("parallel_pf", "ws_file", "reap",
-                                      "overlap", "predict", "shared")
-
-
-def make_policy(name: str, host: WorkerHost, snapshot: Snapshot,
-                breakdown: LatencyBreakdown,
-                artifacts: Optional[ReapArtifacts] = None,
-                **kwargs) -> RestorePolicy:
-    """Instantiate a policy by name."""
-    if name not in POLICIES and name in PREFETCH_POLICIES:
-        # The policy-zoo classes register themselves on import; pull
-        # them in lazily so the default path never pays the import.
-        import repro.policies  # noqa: F401  (registration side effect)
-    try:
-        policy_cls = POLICIES[name]
-    except KeyError:
-        known = ", ".join(sorted(POLICIES))
-        raise KeyError(f"unknown policy {name!r}; known: {known}") from None
-    if policy_cls is VanillaPolicy or policy_cls is RecordPolicy:
-        return policy_cls(host, snapshot, breakdown, artifacts, **kwargs)
-    return policy_cls(host, snapshot, breakdown, artifacts=artifacts,
-                      **kwargs)

@@ -71,9 +71,9 @@ class Worker:
     outstanding: int = 0
     #: Crashed workers are cordoned: never routed to again.
     cordoned: bool = False
-    #: In-flight invocation processes, insertion-ordered (populated only
-    #: under a chaos controller, so crashes can abort them
-    #: deterministically; dict-as-ordered-set).
+    #: Processes with an invocation attempt running on this worker,
+    #: insertion-ordered so a crash interrupts them deterministically
+    #: (dict-as-ordered-set).
     inflight: dict = field(default_factory=dict)
 
 
@@ -311,29 +311,14 @@ class Cluster:
                ) -> Generator[Event, Any, Any]:
         """Route one invocation through the front end.
 
-        Without a chaos controller this is the zero-overhead inline
-        path.  With one attached, each attempt runs as a child process
-        registered in the worker's in-flight set (so crashes can abort
-        it), and failures caused by injected faults are replayed on a
-        surviving worker under the controller's retry budget.
+        Each attempt runs in the calling process, which is registered in
+        the worker's in-flight set meanwhile so a crash interrupts it
+        directly.  Failures caused by injected faults are replayed on a
+        surviving worker under the chaos controller's retry budget;
+        without a controller the budget is zero.
         """
-        if self.chaos is None:
-            worker = self.balancer.pick(function_name)
-            worker.outstanding += 1
-            try:
-                result = yield from worker.autoscaler.invoke(
-                    function_name, **invoke_kwargs)
-            finally:
-                worker.outstanding -= 1
-            return result
-        result = yield from self._invoke_resilient(function_name,
-                                                   invoke_kwargs)
-        return result
-
-    def _invoke_resilient(self, function_name: str,
-                          invoke_kwargs: dict[str, Any],
-                          ) -> Generator[Event, Any, Any]:
-        retry = self.chaos.retry
+        max_retries = 0 if self.chaos is None else self.chaos.retry.max_retries
+        caller = self.env.active_process
         tracer = obs_tracer.ACTIVE
         attempt = 0
         while True:
@@ -342,27 +327,22 @@ class Cluster:
             except ClusterUnavailableError:
                 self._shed(function_name, attempt, tracer)
             worker.outstanding += 1
-            proc = self.env.process(
-                worker.autoscaler.invoke(function_name, **invoke_kwargs),
-                name=f"invoke:{function_name}@w{worker.index}")
-            worker.inflight[proc] = None
+            worker.inflight[caller] = None
             try:
-                result = yield proc
+                result = yield from worker.autoscaler.invoke(
+                    function_name, **invoke_kwargs)
                 return result
             except BaseException as error:
-                if proc.is_alive:
-                    # We were interrupted while waiting (not the child
-                    # failing): do not leave it running detached.
-                    proc.interrupt("abandoned")
                 if not _retryable(error):
                     raise
             finally:
-                worker.inflight.pop(proc, None)
+                worker.inflight.pop(caller, None)
                 worker.outstanding -= 1
-            if attempt >= retry.max_retries:
+            if attempt >= max_retries:
                 self._shed(function_name, attempt + 1, tracer)
             self._note_retry(function_name, worker.index, attempt, tracer)
-            yield self.env.timeout(retry.backoff_s(attempt) * SEC)
+            yield self.env.timeout(
+                self.chaos.retry.backoff_s(attempt) * SEC)
             attempt += 1
 
     def _shed(self, function_name: str, attempts: int, tracer) -> None:

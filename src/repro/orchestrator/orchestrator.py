@@ -37,13 +37,18 @@ from typing import Any, Generator, Optional
 from repro.core.context import LatencyBreakdown
 from repro.core.files import ArtifactFormatError
 from repro.core.manager import ReapManager, ReapParameters
-from repro.core.policies import PREFETCH_POLICIES, RestorePolicy
+from repro.core.policies import RecordPolicy, RestorePolicy, VanillaPolicy
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.functions.behavior import FunctionBehavior
 from repro.functions.spec import FunctionProfile
 from repro.memory.guest import ContentMode
 from repro.memory.trace import AccessTrace
+from repro.policies import (
+    ColdStartPolicyLayer,
+    PolicyLayerParameters,
+    policy_class,
+)
 from repro.sim.engine import Event
 from repro.sim.rng import derive_seed
 from repro.sim.units import MS
@@ -158,7 +163,8 @@ class Orchestrator:
                  content: ContentMode = ContentMode.METADATA,
                  reap_params: ReapParameters | None = None,
                  snapstore_params: "TierParameters | None" = None,
-                 policy_params=None) -> None:
+                 policy_params: PolicyLayerParameters | None = None,
+                 ) -> None:
         self.host = host
         self.env = host.env
         self.seed = seed
@@ -170,13 +176,11 @@ class Orchestrator:
             self.snapstore = TieredSnapshotStore(host, snapstore_params)
         self.snapshot_store = SnapshotStore(host, tiered=self.snapstore)
         self.reap = ReapManager(host, reap_params, store=self.snapstore)
-        #: Optional cold-start policy layer (the floor_study zoo,
-        #: :mod:`repro.policies`); ``None`` -- the default everywhere --
-        #: keeps the plain REAP mode selection with zero overhead.
-        self.policy_layer = None
-        if policy_params is not None:
-            from repro.policies import ColdStartPolicyLayer
-            self.policy_layer = ColdStartPolicyLayer(self, policy_params)
+        #: Cold-start policy layer (the floor_study scheme and prewarm,
+        #: :mod:`repro.policies`); the default ``reap`` scheme leaves
+        #: the REAP manager's mode selection as it is.
+        self.policy_layer = ColdStartPolicyLayer(
+            self, policy_params or PolicyLayerParameters())
         self._functions: dict[str, DeployedFunction] = {}
         #: Trace process name of this worker (clusters override it so
         #: each worker maps to its own pid in exported traces).
@@ -260,14 +264,15 @@ class Orchestrator:
                ) -> Generator[Event, Any, InvocationResult]:
         """Route one invocation; cold-starts an instance if needed.
 
-        ``mode`` forces a restore policy (benchmarks use this to compare
-        the Fig. 7 design points); by default the REAP manager picks
-        record/prefetch/fallback automatically.  ``flush_page_cache``
-        applies the paper's §4.1 cold-invocation methodology.
+        ``mode`` forces a restore policy by its name in
+        :data:`repro.policies.POLICIES` (benchmarks use this to compare
+        the Fig. 7 design points; an unknown name raises ``KeyError``);
+        by default the REAP manager picks record/prefetch/fallback
+        automatically.  ``flush_page_cache`` applies the paper's §4.1
+        cold-invocation methodology.
         """
         entry = self.function(name)
-        if self.policy_layer is not None:
-            self.policy_layer.observe_invocation(name, self.env.now)
+        self.policy_layer.observe_invocation(name, self.env.now)
         if use_warm and entry.warm:
             # The warm path is served here, not in a helper generator,
             # so its vCPU replay runs two ``yield from`` levels deep.
@@ -356,22 +361,23 @@ class Orchestrator:
             self.host.flush_page_cache()
         started = self.env.now
 
-        # Resolve the restore mode up front; the tiered store then
-        # promotes + pins exactly the artifacts this mode reads eagerly
+        # Resolve the restore policy up front; the tiered store then
+        # promotes + pins exactly the artifacts it reads eagerly
         # (evicted ones pay the remote path, §7.1).  Resolving once also
         # pins the policy itself: REAP state may change across the
         # promote/load yields (a concurrent record completing), and the
         # policy must match what was promoted.
-        selected = mode or self._auto_mode(name)
+        policy_cls = (self._auto_policy(name) if mode is None
+                      else policy_class(mode))
         with _Phase(self, "cold_start", f"{name}#{invocation}",
                     args={"function": name, "invocation": invocation,
-                          "mode": selected}) as cold:
+                          "mode": policy_cls.name}) as cold:
             lane = cold.lane
             pinned: list = []
             try:
                 # 1-3. Load VMM, prepare, connection restoration.
                 vm, policy, trace, handler = yield from self._restore(
-                    entry, selected, breakdown, lane, pinned,
+                    entry, policy_cls, breakdown, lane, pinned,
                     invocation=invocation, forced=mode is not None)
                 try:
                     # 4. Function processing (S3 input + handler).
@@ -393,23 +399,12 @@ class Orchestrator:
                 # §7.1 mispredictions: only prefetch policies install
                 # pages that can go untouched; every other policy
                 # reports an explicit 0 so aggregations see the field
-                # uniformly.  Policies that install beyond the recorded
-                # set (predict) expose the full set via
-                # ``prefetched_page_set``.
-                prefetched_set = getattr(policy, "prefetched_page_set",
-                                         None)
-                if (prefetched_set is None
-                        and policy.name in PREFETCH_POLICIES
-                        and policy.artifacts is not None):
-                    prefetched_set = policy.artifacts.page_set
-                if prefetched_set is not None:
-                    breakdown.unused_prefetched = len(
-                        prefetched_set - trace.page_set)
-                else:
-                    breakdown.unused_prefetched = 0
+                # uniformly.
+                prefetched_set = policy.prefetched_page_set
+                breakdown.unused_prefetched = (
+                    0 if prefetched_set is None
+                    else len(prefetched_set - trace.page_set))
                 self.reap.complete(name, policy)
-                if self.policy_layer is not None:
-                    self.policy_layer.observe_complete(name, policy)
                 vm.invocations_served += 1
                 warm = WarmInstance(vm=vm, policy=policy)
                 if keep_warm:
@@ -426,7 +421,8 @@ class Orchestrator:
             breakdown=breakdown, trace=trace, started_at=started,
             finished_at=self.env.now)
 
-    def _restore(self, entry: DeployedFunction, mode: str,
+    def _restore(self, entry: DeployedFunction,
+                 policy_cls: type[RestorePolicy],
                  breakdown: LatencyBreakdown, lane: str | None,
                  pinned: list, invocation: int | None = None,
                  forced: bool = False) -> Generator[Event, Any, tuple]:
@@ -435,8 +431,8 @@ class Orchestrator:
         The sequence cold starts and prewarms share: artifact promotion
         (its pins land in ``pinned``; the caller unpins), Load VMM,
         policy prepare, and connection restoration.  Unless ``forced``,
-        an auto-selected prefetch ``mode`` degrades when its recorded
-        artifacts are unreachable or were invalidated meanwhile.
+        an auto-selected prefetching ``policy_cls`` degrades when its
+        recorded artifacts are unreachable or were invalidated meanwhile.
         ``invocation=None`` restores speculatively: the next
         invocation's trace is peeked, not consumed, and the restore
         never records.  Returns ``(vm, policy, trace, handler)``; on
@@ -451,15 +447,15 @@ class Orchestrator:
             with _Phase(self, "artifact_ensure", lane,
                         cat="snapstore") as ensure:
                 pinned.extend((yield from self.snapstore.ensure_for_restore(
-                    name, mode, breakdown)))
+                    name, policy_cls.artifact_kinds, breakdown)))
                 ensure.end_args = {"pinned": len(pinned)}
-            if (not forced and mode in PREFETCH_POLICIES
+            if (not forced and policy_cls.prefetches
                     and breakdown.extra.get("artifact_unreachable")):
                 # The recorded trace/WS artifacts sit behind an
                 # unreachable remote service: degrade to a vanilla
                 # restore (lazy faults hit whatever is locally resident)
                 # instead of failing in prepare().
-                mode = "vanilla"
+                policy_cls = VanillaPolicy
                 breakdown.extra["degraded_to_vanilla"] = True
 
         # 1. Load VMM (containerd + Firecracker + state file + devices).
@@ -478,15 +474,15 @@ class Orchestrator:
 
         # A concurrent invocation may have invalidated the recording
         # (re-record / refresh) during the promote/load yields; an
-        # auto-selected prefetch mode then falls back gracefully rather
+        # auto-selected prefetch policy then falls back gracefully rather
         # than demanding artifacts that no longer exist.
-        if (not forced and mode in PREFETCH_POLICIES
+        if (not forced and policy_cls.prefetches
                 and self.reap.state_for(name).artifacts is None):
-            mode = (self._auto_mode(name) if invocation is not None
-                    else self._speculative_mode(name))
+            policy_cls = (self._auto_policy(name) if invocation is not None
+                          else self._speculative_policy(name))
 
         # 2. Instantiate and eagerly populate per the restore policy.
-        policy = self._policy_for(snapshot, breakdown, mode)
+        policy = self.reap.policy_for(snapshot, breakdown, policy_cls)
         trace = entry.behavior.trace_for(
             entry.invocations if invocation is None else invocation,
             record=(policy.name == "record"))
@@ -528,25 +524,15 @@ class Orchestrator:
             raise
         return vm, policy, trace, handler
 
-    def _auto_mode(self, name: str) -> str:
-        """Automatic restore-mode selection (REAP, then the layer)."""
-        selected = self.reap.mode_for(name)
-        if self.policy_layer is not None:
-            selected = self.policy_layer.select_mode(name, selected)
-        return selected
+    def _auto_policy(self, name: str) -> type[RestorePolicy]:
+        """Automatic restore-policy selection (REAP, then the layer)."""
+        return policy_class(self.policy_layer.select_mode(
+            name, self.reap.mode_for(name)))
 
-    def _speculative_mode(self, name: str) -> str:
-        """:meth:`_auto_mode` for a speculative restore (never records)."""
-        selected = self._auto_mode(name)
-        return "vanilla" if selected == "record" else selected
-
-    def _policy_for(self, snapshot: Snapshot,
-                    breakdown: LatencyBreakdown,
-                    mode: str) -> RestorePolicy:
-        """Build the restore policy (layer schemes or plain REAP)."""
-        if self.policy_layer is not None:
-            return self.policy_layer.policy_for(snapshot, breakdown, mode)
-        return self.reap.policy_for(snapshot, breakdown, mode)
+    def _speculative_policy(self, name: str) -> type[RestorePolicy]:
+        """:meth:`_auto_policy` for a speculative restore (never records)."""
+        policy_cls = self._auto_policy(name)
+        return VanillaPolicy if policy_cls is RecordPolicy else policy_cls
 
     # -- speculative prewarm ------------------------------------------------
 
@@ -565,13 +551,14 @@ class Orchestrator:
         if entry.snapshot is None or entry.warm:
             return False
         breakdown = LatencyBreakdown(function=name, invocation=-1)
-        selected = self._speculative_mode(name)
+        policy_cls = self._speculative_policy(name)
         with _Phase(self, "prewarm", f"prewarm:{name}", cat="policy",
-                    args={"function": name, "mode": selected}) as span:
+                    args={"function": name,
+                          "mode": policy_cls.name}) as span:
             pinned: list = []
             try:
                 vm, policy, _trace, _handler = yield from self._restore(
-                    entry, selected, breakdown, span.lane, pinned)
+                    entry, policy_cls, breakdown, span.lane, pinned)
                 try:
                     with _Phase(self, "finalize", span.lane, breakdown,
                                 "finalize_us", cat="restore"):
@@ -591,10 +578,10 @@ class Orchestrator:
     def _teardown_instance(self, warm: WarmInstance) -> None:
         if warm.policy is not None:
             warm.policy.on_teardown()
-            monitor = getattr(warm.policy, "monitor", None)
+            monitor = warm.policy.monitor
             if monitor is not None:
                 monitor.stop()
-            uffd = getattr(warm.policy, "uffd", None)
+            uffd = warm.policy.uffd
             if uffd is not None and not uffd.closed:
                 uffd.close()
         if warm.vm.state in (VmState.RUNNING, VmState.PAUSED,

@@ -1,20 +1,25 @@
-"""Pluggable cold-start policies beyond vanilla/REAP (the policy zoo).
+"""Every restore policy, and the cold-start policy zoo beyond vanilla/REAP.
 
-This package implements the ``floor_study`` schemes -- prefetch/resume
-overlap, cross-generation working-set prediction, co-resident chunk
-sharing, and periodicity-driven prewarm -- as
-:class:`~repro.core.policies.RestorePolicy` subclasses plus a
-per-worker :class:`ColdStartPolicyLayer` that threads them through the
-orchestrator.  Importing the package registers the new policies in
-:data:`repro.core.policies.POLICIES`, so forced modes
-(``invoke(mode="overlap")``) work too; :func:`~repro.core.policies.make_policy`
-performs that import lazily on the first unknown name, keeping the
-default path import-free.
+:data:`POLICIES` is the registry of all restore policies: the paper's
+five (:mod:`repro.core.policies`) and the ``floor_study`` schemes that
+are policies of their own -- prefetch/resume overlap, cross-generation
+working-set prediction and co-resident chunk sharing.  The orchestrator
+resolves a mode name to its class through it, and
+:meth:`repro.core.manager.ReapManager.policy_for` builds the instance.
+The per-worker :class:`ColdStartPolicyLayer` picks the scheme and runs
+periodicity-driven prewarm, the one scheme that is not a policy.
 """
 
 from __future__ import annotations
 
-from repro.core.policies import POLICIES
+from repro.core.policies import (
+    ParallelPfPolicy,
+    ReapPolicy,
+    RecordPolicy,
+    RestorePolicy,
+    VanillaPolicy,
+    WsFilePolicy,
+)
 from repro.policies.layer import (
     SCHEMES,
     ColdStartPolicyLayer,
@@ -25,7 +30,25 @@ from repro.policies.predict import PredictPolicy
 from repro.policies.prewarm import PrewarmManager
 from repro.policies.shared import SharedPolicy, SharedResidency
 
+#: Every restore policy class; ``invoke(mode=...)`` takes their names.
+POLICIES: tuple[type[RestorePolicy], ...] = (
+    VanillaPolicy, RecordPolicy, ParallelPfPolicy, WsFilePolicy, ReapPolicy,
+    OverlapPolicy, PredictPolicy, SharedPolicy)
+
+_BY_NAME = {policy.name: policy for policy in POLICIES}
+
+
+def policy_class(name: str) -> type[RestorePolicy]:
+    """The registered policy class called ``name``."""
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        known = ", ".join(sorted(_BY_NAME))
+        raise KeyError(f"unknown policy {name!r}; known: {known}") from None
+
+
 __all__ = [
+    "POLICIES",
     "SCHEMES",
     "ColdStartPolicyLayer",
     "OverlapPolicy",
@@ -34,9 +57,5 @@ __all__ = [
     "PrewarmManager",
     "SharedPolicy",
     "SharedResidency",
+    "policy_class",
 ]
-
-# Register the zoo for by-name construction (forced benchmark modes).
-for _policy in (OverlapPolicy, PredictPolicy, SharedPolicy):
-    POLICIES.setdefault(_policy.name, _policy)
-del _policy

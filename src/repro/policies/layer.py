@@ -1,12 +1,12 @@
-"""The pluggable cold-start policy layer (scheme registry + wiring).
+"""The cold-start policy layer: scheme selection and its side state.
 
-An :class:`~repro.orchestrator.orchestrator.Orchestrator` built with
-``policy_params`` owns one :class:`ColdStartPolicyLayer`; the layer
-intercepts automatic restore-mode selection, builds the scheme-specific
-policies, and feeds completed invocations back into the scheme's state
-(prediction history, prewarm histograms).  Without ``policy_params``
-(the default everywhere) the orchestrator never touches this module --
-the golden-digest tests pin that the layer is zero-cost when off.
+Every :class:`~repro.orchestrator.orchestrator.Orchestrator` owns one
+:class:`ColdStartPolicyLayer`.  The layer maps the auto-selected restore
+mode to the worker's scheme, installs the ``shared`` scheme's chunk
+residency on the REAP manager, and runs the ``prewarm`` timers.  The
+policies themselves are built by
+:meth:`repro.core.manager.ReapManager.policy_for` like every other
+restore policy.  The default scheme, ``reap``, changes nothing.
 
 Schemes, all layered over the REAP record/prefetch machinery:
 
@@ -25,14 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.context import LatencyBreakdown
-from repro.core.manager import WS_HISTORY_LIMIT
-from repro.core.policies import RestorePolicy
-from repro.policies.overlap import OverlapPolicy
-from repro.policies.predict import PredictPolicy
 from repro.policies.prewarm import PrewarmManager
-from repro.policies.shared import SharedPolicy, SharedResidency
-from repro.vm.snapshot import Snapshot
+from repro.policies.shared import SharedResidency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.orchestrator.orchestrator import Orchestrator
@@ -41,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SCHEMES: tuple[str, ...] = ("vanilla", "reap", "overlap", "predict",
                             "shared", "prewarm")
 
-#: Schemes that replace the auto-selected prefetch policy.
+#: Schemes that run the restore policy of the same name in place of an
+#: auto-selected ``reap`` restore.
 _COLD_PATH_SCHEMES = ("overlap", "predict", "shared")
 
 
@@ -53,18 +48,6 @@ class PolicyLayerParameters:
     scheme: str = "reap"
     #: Warm-pool footprint cap enforced on speculative instances.
     memory_budget_mb: float = 1024.0
-    #: Pages per background-stream segment (``overlap``).
-    overlap_segment_pages: int = 64
-    #: Prior generations unioned into the prediction (``predict``).
-    predict_window: int = 3
-    #: How long before the predicted arrival a prewarm fires, seconds.
-    prewarm_margin_s: float = 2.0
-    #: Gap observations required before predicting (``prewarm``).
-    prewarm_min_samples: int = 3
-    #: Fraction of gaps the dominant bucket must hold (``prewarm``).
-    prewarm_top_fraction: float = 0.5
-    #: Gap observations retained per function (``prewarm``).
-    prewarm_history: int = 64
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -87,6 +70,7 @@ class ColdStartPolicyLayer:
         self.params = params
         self.residency: Optional[SharedResidency] = (
             SharedResidency() if params.scheme == "shared" else None)
+        orchestrator.reap.residency = self.residency
         self.prewarm: Optional[PrewarmManager] = (
             PrewarmManager(orchestrator, params)
             if params.scheme == "prewarm" else None)
@@ -104,54 +88,7 @@ class ColdStartPolicyLayer:
             return self.params.scheme
         return selected
 
-    # -- policy construction ----------------------------------------------
-
-    def policy_for(self, snapshot: Snapshot, breakdown: LatencyBreakdown,
-                   mode: str) -> RestorePolicy:
-        """Build the policy for ``mode``; base modes delegate to REAP."""
-        reap = self.orchestrator.reap
-        if mode not in _COLD_PATH_SCHEMES:
-            return reap.policy_for(snapshot, breakdown, mode)
-        state = reap.state_for(snapshot.function_name)
-        artifacts = state.artifacts
-        if artifacts is None:
-            raise RuntimeError(
-                f"{snapshot.function_name}: no recorded artifacts for "
-                f"policy {mode!r}")
-        policy: RestorePolicy
-        if mode == "overlap":
-            policy = OverlapPolicy(
-                reap.host, snapshot, breakdown, artifacts=artifacts,
-                segment_pages=self.params.overlap_segment_pages)
-        elif mode == "predict":
-            policy = PredictPolicy(
-                reap.host, snapshot, breakdown, artifacts=artifacts,
-                predicted_extra=self._predicted_extra(state, artifacts))
-        else:
-            policy = SharedPolicy(
-                reap.host, snapshot, breakdown, artifacts=artifacts,
-                residency=self.residency)
-        policy.obs_proc = self.orchestrator.obs_proc
-        return policy
-
-    def _predicted_extra(self, state, artifacts) -> tuple[int, ...]:
-        window = state.ws_history[-self.params.predict_window:]
-        if not window:
-            return ()
-        union: set[int] = set().union(*window)
-        return tuple(sorted(union - set(artifacts.page_set)))
-
     # -- feedback ---------------------------------------------------------
-
-    def observe_complete(self, name: str, policy: RestorePolicy) -> None:
-        """Fold one finished cold invocation into scheme state."""
-        if policy.name != "predict":
-            return
-        demanded = getattr(policy, "demanded_pages", None)
-        if demanded:
-            state = self.orchestrator.reap.state_for(name)
-            state.ws_history.append(frozenset(demanded))
-            del state.ws_history[:-WS_HISTORY_LIMIT]
 
     def observe_invocation(self, name: str, arrived_at: float) -> None:
         """Feed one arrival (warm or cold) to the prewarm histograms."""

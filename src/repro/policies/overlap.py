@@ -31,6 +31,9 @@ from repro.vm.microvm import MicroVM
 from repro.vm.snapshot import Snapshot
 from repro.vm.vcpu import FaultHandler
 
+#: Pages per background-stream segment.
+SEGMENT_PAGES = 64
+
 
 class OverlapPolicy(WsFilePolicy):
     """Resume immediately; stream the WS concurrently, segment by segment."""
@@ -40,14 +43,8 @@ class OverlapPolicy(WsFilePolicy):
 
     def __init__(self, host: WorkerHost, snapshot: Snapshot,
                  breakdown: LatencyBreakdown,
-                 artifacts: Optional[ReapArtifacts] = None,
-                 segment_pages: int = 64) -> None:
+                 artifacts: Optional[ReapArtifacts] = None) -> None:
         super().__init__(host, snapshot, breakdown, artifacts=artifacts)
-        if segment_pages < 1:
-            raise ValueError(f"segment_pages must be >= 1: {segment_pages}")
-        self.segment_pages = segment_pages
-        #: Trace process name (the constructing layer overrides it).
-        self.obs_proc = "worker0"
         #: WS pages whose segment has not been installed yet.
         self._remaining: set[int] = set()
         #: Per-page events of faults blocked on the in-flight transfer.
@@ -81,11 +78,11 @@ class OverlapPolicy(WsFilePolicy):
                                 lane=f"overlap:{vm.name}",
                                 proc=self.obs_proc, cat="policy",
                                 args={"pages": len(pages),
-                                      "segment_pages": self.segment_pages})
+                                      "segment_pages": SEGMENT_PAGES})
         installed = 0
         try:
-            for start in range(0, len(pages), self.segment_pages):
-                segment = pages[start:start + self.segment_pages]
+            for start in range(0, len(pages), SEGMENT_PAGES):
+                segment = pages[start:start + SEGMENT_PAGES]
                 nbytes = len(segment) * PAGE_SIZE
                 yield from self.host.page_cache.read(
                     ws.file, start * PAGE_SIZE, nbytes,

@@ -13,7 +13,7 @@ the snapshot memory file (readahead path) or installed as zero pages.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.context import LatencyBreakdown
 from repro.core.files import ReapArtifacts
@@ -27,6 +27,12 @@ from repro.storage.device import ReadKind
 from repro.vm.host import WorkerHost
 from repro.vm.microvm import MicroVM
 from repro.vm.snapshot import Snapshot
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.manager import FunctionReapState, ReapManager
+
+#: Prior working-set generations unioned into the prediction.
+PREDICT_WINDOW = 3
 
 
 class _ObservingMonitor(PrefetchMonitor):
@@ -51,13 +57,22 @@ class PredictPolicy(ReapPolicy):
                  predicted_extra: tuple[int, ...] = ()) -> None:
         super().__init__(host, snapshot, breakdown, artifacts=artifacts)
         self.predicted_extra = tuple(predicted_extra)
-        #: Pages demand-faulted during this invocation (feeds the next
-        #: generation's prediction through the policy layer).
+        #: Pages demand-faulted during this invocation (the manager adds
+        #: them to the function's working-set history).
         self.demanded_pages: set[int] = set()
-        #: Everything eagerly installed; the orchestrator's §7.1
-        #: misprediction accounting uses this instead of the bare
-        #: recorded set.
-        self.prefetched_page_set: frozenset[int] = frozenset()
+        self._installed: frozenset[int] = frozenset()
+
+    @classmethod
+    def inputs(cls, manager: "ReapManager",
+               state: "FunctionReapState") -> dict[str, Any]:
+        recent: set[int] = set().union(*state.ws_history[-PREDICT_WINDOW:])
+        return {"predicted_extra": tuple(sorted(
+            recent - state.artifacts.page_set))}
+
+    @property
+    def prefetched_page_set(self) -> frozenset[int]:
+        """Recorded plus predicted pages: everything installed eagerly."""
+        return self._installed
 
     def _make_monitor(self, vm: MicroVM) -> UffdMonitor:
         return _ObservingMonitor(
@@ -71,7 +86,7 @@ class PredictPolicy(ReapPolicy):
         extra = [page for page in self.predicted_extra
                  if page not in recorded
                  and not vm.memory.is_present(page)]
-        self.prefetched_page_set = recorded | frozenset(extra)
+        self._installed = recorded | frozenset(extra)
         if not extra:
             return
         env = self.host.env

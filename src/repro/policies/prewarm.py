@@ -28,6 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.orchestrator.orchestrator import Orchestrator
     from repro.policies.layer import PolicyLayerParameters
 
+#: How long before the predicted arrival a prewarm fires, seconds.
+MARGIN_S = 2.0
+#: Gap observations required before predicting.
+MIN_SAMPLES = 3
+#: Fraction of gaps the dominant bucket must hold.
+TOP_FRACTION = 0.5
+#: Gap observations retained per function.
+GAP_HISTORY = 64
+
 
 class PrewarmManager:
     """Per-function gap histograms driving speculative restores."""
@@ -57,7 +66,7 @@ class PrewarmManager:
             return
         gaps = self._gaps.setdefault(name, [])
         gaps.append(gap)
-        del gaps[:-self.params.prewarm_history]
+        del gaps[:-GAP_HISTORY]
         predicted = self._predict_gap(gaps)
         if predicted is None:
             return
@@ -65,7 +74,7 @@ class PrewarmManager:
 
     def _predict_gap(self, gaps: list[float]) -> Optional[float]:
         """Median gap of the dominant log2 bucket, if one dominates."""
-        if len(gaps) < self.params.prewarm_min_samples:
+        if len(gaps) < MIN_SAMPLES:
             return None
         buckets: dict[int, list[float]] = {}
         for gap in gaps:
@@ -74,7 +83,7 @@ class PrewarmManager:
         top_key = min(buckets,
                       key=lambda key: (-len(buckets[key]), key))
         top = buckets[top_key]
-        if len(top) < self.params.prewarm_top_fraction * len(gaps):
+        if len(top) < TOP_FRACTION * len(gaps):
             return None
         ordered = sorted(top)
         return ordered[len(ordered) // 2]
@@ -82,7 +91,7 @@ class PrewarmManager:
     # -- timers -----------------------------------------------------------
 
     def _schedule(self, name: str, predicted_arrival: float) -> None:
-        fire_at = predicted_arrival - self.params.prewarm_margin_s * SEC
+        fire_at = predicted_arrival - MARGIN_S * SEC
         env = self.orchestrator.env
         if fire_at <= env.now:
             return

@@ -20,7 +20,7 @@ only charges the last releaser (the property tests in
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.context import LatencyBreakdown
 from repro.core.files import ReapArtifacts
@@ -37,6 +37,9 @@ from repro.snapstore.chunks import (
 from repro.vm.host import WorkerHost
 from repro.vm.microvm import MicroVM
 from repro.vm.snapshot import Snapshot
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.manager import FunctionReapState, ReapManager
 
 
 class SharedResidency:
@@ -96,13 +99,17 @@ class SharedPolicy(ReapPolicy):
                  residency: Optional[SharedResidency] = None) -> None:
         super().__init__(host, snapshot, breakdown, artifacts=artifacts)
         self.residency = residency
-        self.obs_proc = "worker0"
         self._object_id: Optional[str] = None
+
+    @classmethod
+    def inputs(cls, manager: "ReapManager",
+               state: "FunctionReapState") -> dict[str, Any]:
+        return {"residency": manager.residency}
 
     def prepare(self, vm: MicroVM) -> Generator[Event, Any, None]:
         residency = self.residency
         if residency is None:
-            # No sharing context (forced-mode benchmarks): plain REAP.
+            # No sharing context (scheme is not ``shared``): plain REAP.
             yield from super().prepare(vm)
             return
         env = self.host.env

@@ -420,6 +420,11 @@ class Environment:
         """Current simulated time, in microseconds."""
         return self._now
 
+    @property
+    def active_process(self) -> Optional[Process]:
+        """The process being resumed right now (``None`` between resumes)."""
+        return self._active_process
+
     def event(self) -> Event:
         """Create an untriggered event."""
         return Event(self)

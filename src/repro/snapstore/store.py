@@ -8,17 +8,18 @@ One :class:`TieredSnapshotStore` per worker glues the pieces together:
 * REAP's record phase registers the trace and working-set files
   (:meth:`register_reap_artifacts`), replacing any stale recording;
 * every cold restore first calls :meth:`ensure_for_restore` with the
-  policy mode about to run; the store promotes exactly the artifacts
-  that mode reads eagerly (:data:`MODE_ARTIFACTS`) and pins them for
-  the duration of the restore.
+  artifact kinds its restore policy declares
+  (:attr:`~repro.core.policies.RestorePolicy.artifact_kinds`); the store
+  promotes exactly those and pins them for the duration of the restore.
 
-The mapping encodes §7.1's asymmetry: lazy policies (``vanilla``,
+The declarations encode §7.1's asymmetry: lazy policies (``vanilla``,
 ``record``, ``parallel_pf``) need the guest memory file locally because
 they fault small scattered reads out of it, while prefetch policies
-(``reap``, ``ws_file``) promote only the small trace + WS artifacts and
-leave the memory file wherever it is -- their few unique-page demand
-faults pay the remote round trip individually, which is cheap, exactly
-the reason REAP's advantage grows under disaggregated storage.
+(``reap``, ``ws_file`` and the REAP-shaped zoo policies) promote only
+the small trace + WS artifacts and leave the memory file wherever it
+is -- their few unique-page demand faults pay the remote round trip
+individually, which is cheap, exactly the reason REAP's advantage grows
+under disaggregated storage.
 """
 
 from __future__ import annotations
@@ -33,20 +34,6 @@ from repro.storage.remote import RemoteDevice
 from repro.storage.ssd import SsdDevice
 from repro.vm.host import WorkerHost
 from repro.vm.snapshot import Snapshot
-
-#: Artifact kinds each restore mode must have local before it starts.
-MODE_ARTIFACTS: dict[str, tuple[str, ...]] = {
-    "vanilla": ("vmm", "mem"),
-    "record": ("vmm", "mem"),
-    "parallel_pf": ("vmm", "trace", "mem"),
-    "ws_file": ("vmm", "trace", "ws"),
-    "reap": ("vmm", "trace", "ws"),
-    # Policy-zoo schemes (repro.policies): all REAP-shaped -- they read
-    # the trace + WS eagerly and demand-fault the unique remainder.
-    "overlap": ("vmm", "trace", "ws"),
-    "predict": ("vmm", "trace", "ws"),
-    "shared": ("vmm", "trace", "ws"),
-}
 
 
 class TieredSnapshotStore:
@@ -93,16 +80,16 @@ class TieredSnapshotStore:
 
     # -- the restore path -------------------------------------------------
 
-    def ensure_for_restore(self, function_name: str, mode: str,
+    def ensure_for_restore(self, function_name: str,
+                           kinds: tuple[str, ...],
                            breakdown: Optional[LatencyBreakdown] = None,
                            ) -> Generator[Event, Any, list[TierEntry]]:
-        """Promote + pin the artifacts ``mode`` reads eagerly.
+        """Promote + pin the function's artifacts of the given ``kinds``.
 
         Returns the pinned entries; the orchestrator unpins them when
         the invocation finishes.  Promotion time (the §7.1 remote
         penalty) lands in ``breakdown.extra["snapstore_promote_us"]``.
         """
-        kinds = MODE_ARTIFACTS.get(mode, ("vmm", "mem"))
         started = self.host.env.now
         before_unreachable = self.cache.stats.unreachable
         pinned = yield from self.cache.ensure_local(function_name, kinds)

@@ -341,6 +341,20 @@ def test_chaos_free_invoke_keeps_zero_bookkeeping():
     assert all(not worker.inflight for worker in cluster.workers)
 
 
+def test_chaos_free_invoke_runs_in_the_calling_process():
+    env = Environment()
+    with Cluster(env, n_workers=2, seed=11) as cluster:
+        env.run(until=env.process(cluster.deploy(toy())))
+        caller = env.process(cluster.invoke("toy"), name="caller")
+        env.run(until=env.now + 200.0)  # mid-restore
+        inflight = [list(worker.inflight) for worker in cluster.workers]
+        env.run(until=caller)
+    # The attempt is registered under the caller itself (no child
+    # process), and the registration is gone once the call returns.
+    assert sorted(inflight, key=len) == [[], [caller]]
+    assert all(not worker.inflight for worker in cluster.workers)
+
+
 # -- tier resilience --------------------------------------------------------
 
 

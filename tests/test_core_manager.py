@@ -101,8 +101,9 @@ def test_policy_for_rejects_prefetch_without_artifacts():
     env, orch = make_orch(stable_profile())
     snapshot = orch.function("stable").snapshot
     from repro.core.context import LatencyBreakdown
+    from repro.core.policies import WsFilePolicy
     with pytest.raises(RuntimeError):
-        orch.reap.policy_for(snapshot, LatencyBreakdown(), mode="ws_file")
+        orch.reap.policy_for(snapshot, LatencyBreakdown(), WsFilePolicy)
 
 
 def test_manager_state_isolated_per_function():

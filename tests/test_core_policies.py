@@ -7,11 +7,10 @@ but for byte-exact guest memory reconstruction.
 
 import pytest
 
-from repro.core import LatencyBreakdown, make_policy
-from repro.core.policies import POLICIES
 from repro.functions import FunctionBehavior, FunctionProfile
 from repro.memory import ContentMode
 from repro.orchestrator import Orchestrator
+from repro.policies import POLICIES
 from repro.sim import Environment
 from repro.vm import WorkerHost
 
@@ -49,19 +48,19 @@ def invoke(env, orch, name, **kwargs):
 
 
 def test_policy_registry_complete():
-    core = {"vanilla", "record", "parallel_pf", "ws_file", "reap"}
-    assert core <= set(POLICIES)
-    # The policy-zoo schemes register lazily on first use (importing
-    # repro.policies); whether they are present depends on test order,
-    # but nothing else may appear.
-    assert set(POLICIES) - core <= {"overlap", "predict", "shared"}
+    assert [policy.name for policy in POLICIES] == [
+        "vanilla", "record", "parallel_pf", "ws_file", "reap",
+        "overlap", "predict", "shared"]
 
 
-def test_make_policy_unknown_name():
-    env = Environment()
-    host = WorkerHost(env)
-    with pytest.raises(KeyError):
-        make_policy("nope", host, None, LatencyBreakdown())
+def test_unknown_mode_raises_key_error_listing_known_names():
+    env, host, orch, profile = make_stack()
+    with pytest.raises(KeyError) as raised:
+        invoke(env, orch, "tiny", mode="nope")
+    message = str(raised.value)
+    assert "'nope'" in message
+    for policy in POLICIES:
+        assert policy.name in message
 
 
 def test_vanilla_restores_exact_content():

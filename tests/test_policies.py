@@ -6,7 +6,7 @@ Covers the :mod:`repro.policies` layer three ways:
   claims on a live testbed (overlap beats REAP cold-for-cold, predict
   prefetches prior generations' demand sets, shared elides fetches for
   co-resident chunks, prewarm converts predictable arrivals into warm
-  hits) and the layer is zero-cost when absent;
+  hits) and the default scheme adds nothing;
 * residency properties -- refcounted chunk sharing over seeded random
   acquire/release interleavings (:func:`harness.seeded_cases` drives
   the case generation): refcounts never go negative, evicting a shared
@@ -27,7 +27,10 @@ from harness import seeded_cases
 from repro.bench.harness import Testbed
 from repro.functions import get_profile
 from repro.memory.working_set import reuse_between
+from repro.obs import tracer as obs_tracer
+from repro.orchestrator.cluster import Cluster
 from repro.policies import (
+    POLICIES,
     SCHEMES,
     ColdStartPolicyLayer,
     OverlapPolicy,
@@ -36,16 +39,15 @@ from repro.policies import (
     PrewarmManager,
     SharedPolicy,
     SharedResidency,
+    policy_class,
 )
 from repro.sim import sanitizer
-from repro.sim.engine import Interrupt
+from repro.sim.engine import Environment, Interrupt
 from repro.sim.units import SEC
 
 
-def policy_testbed(scheme=None, seed=7, **params):
-    policy_params = None
-    if scheme is not None:
-        policy_params = PolicyLayerParameters(scheme=scheme, **params)
+def policy_testbed(scheme="reap", seed=7, **params):
+    policy_params = PolicyLayerParameters(scheme=scheme, **params)
     testbed = Testbed(seed=seed, policy_params=policy_params)
     testbed.deploy(get_profile("helloworld"))
     return testbed
@@ -67,9 +69,15 @@ def test_layer_parameters_validate_scheme():
 
 
 def test_layer_off_by_default():
-    testbed = policy_testbed()
-    assert testbed.orchestrator.policy_layer is None
+    testbed = Testbed(seed=7)
+    testbed.deploy(get_profile("helloworld"))
+    layer = testbed.orchestrator.policy_layer
+    # Every orchestrator has a layer; the default scheme adds nothing.
+    assert layer.params == PolicyLayerParameters(scheme="reap")
+    assert layer.residency is None and layer.prewarm is None
+    assert testbed.orchestrator.reap.residency is None
     assert testbed.invoke("helloworld").mode == "record"
+    assert testbed.invoke("helloworld", use_warm=False).mode == "reap"
 
 
 def test_layer_only_redirects_the_reap_mode():
@@ -81,14 +89,33 @@ def test_layer_only_redirects_the_reap_mode():
     assert layer.select_mode("helloworld", "reap") == "overlap"
 
 
-def test_forced_modes_register_policies_lazily():
-    # No layer installed: invoke(mode="overlap") must still resolve the
-    # policy class through make_policy's lazy registration import.
+def test_forced_zoo_modes_resolve_through_registry():
+    # The default scheme never selects overlap, but the name resolves
+    # through the registry like every other forced mode.
     testbed = policy_testbed()
     testbed.invoke("helloworld")  # record
     result = testbed.invoke("helloworld", mode="overlap", use_warm=False)
     assert result.mode == "overlap"
     assert "overlap_stream_us" in result.breakdown.extra
+
+
+def test_forced_zoo_policy_traces_under_its_worker():
+    env = Environment()
+    tracer = obs_tracer.install()
+    try:
+        with Cluster(env, n_workers=2, seed=11) as cluster:
+            env.run(until=env.process(
+                cluster.deploy(get_profile("helloworld"))))
+            orchestrator = cluster.workers[1].orchestrator
+            env.run(until=env.process(
+                orchestrator.invoke("helloworld")))  # record
+            env.run(until=env.process(orchestrator.invoke(
+                "helloworld", mode="overlap", use_warm=False)))
+    finally:
+        obs_tracer.uninstall()
+    spans = tracer.spans_named("prefetch_overlap")
+    assert spans
+    assert {span.proc for span in spans} == {"worker1"}
 
 
 # -- scheme behavior ---------------------------------------------------------
@@ -159,7 +186,7 @@ def test_shared_residency_released_on_teardown():
 
 
 def test_prewarm_converts_predictable_arrivals_to_warm_hits():
-    testbed = policy_testbed(scheme="prewarm", prewarm_min_samples=3)
+    testbed = policy_testbed(scheme="prewarm")
     layer = testbed.orchestrator.policy_layer
 
     def drive():
@@ -178,8 +205,7 @@ def test_prewarm_converts_predictable_arrivals_to_warm_hits():
 
 
 def test_prewarm_budget_blocks_speculation():
-    testbed = policy_testbed(scheme="prewarm", prewarm_min_samples=3,
-                             memory_budget_mb=0.0)
+    testbed = policy_testbed(scheme="prewarm", memory_budget_mb=0.0)
     layer = testbed.orchestrator.policy_layer
 
     def drive():
@@ -320,13 +346,14 @@ def test_overlap_interrupt_mid_stream_releases_transfer(monkeypatch):
 
 
 def test_scheme_constants_agree_with_registry():
-    from repro.core.policies import POLICIES
-
     assert SCHEMES == ("vanilla", "reap", "overlap", "predict", "shared",
                        "prewarm")
-    import repro.policies  # noqa: F401  (registration side effect)
     for name, cls in (("overlap", OverlapPolicy),
                       ("predict", PredictPolicy),
                       ("shared", SharedPolicy)):
-        assert POLICIES[name] is cls
+        assert policy_class(name) is cls
+        assert cls in POLICIES
+    # prewarm is a scheme, not a restore policy.
     assert PrewarmManager is not None
+    with pytest.raises(KeyError):
+        policy_class("prewarm")

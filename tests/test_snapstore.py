@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.context import LatencyBreakdown
+from repro.core.policies import ReapPolicy
 from repro.functions import FunctionProfile
 from repro.functions.content import page_bytes
 from repro.memory.working_set import reuse_between
 from repro.orchestrator.orchestrator import Orchestrator
+from repro.policies import POLICIES
 from repro.sim.engine import Environment
 from repro.sim.units import MIB, PAGE_SIZE
 from repro.snapstore.chunks import (
@@ -348,26 +351,47 @@ def test_unbounded_tier_never_touches_remote():
     assert stats.remote_misses == 0
 
 
-def test_reap_restore_leaves_memory_file_remote():
-    # REAP promotes only the small trace/WS artifacts (§7.1): after an
-    # eviction of everything, a reap cold start brings back ws+trace+vmm
-    # but serves its few demand faults from the remote memory file.
+#: The kinds each restore mode promotes: vanilla and record fault out of
+#: the memory file, parallel_pf reads the trace then faults, and every
+#: REAP-shaped policy reads only the trace + WS files (§7.1).
+PROMOTED_KINDS = {
+    "vanilla": {"vmm", "mem"},
+    "record": {"vmm", "mem"},
+    "parallel_pf": {"vmm", "trace", "mem"},
+    "ws_file": {"vmm", "trace", "ws"},
+    "reap": {"vmm", "trace", "ws"},
+    "overlap": {"vmm", "trace", "ws"},
+    "predict": {"vmm", "trace", "ws"},
+    "shared": {"vmm", "trace", "ws"},
+}
+
+
+@pytest.mark.parametrize("mode", [policy.name for policy in POLICIES])
+def test_reap_restore_leaves_memory_file_remote(mode):
+    # A restore promotes exactly the kinds its policy declares: REAP
+    # brings back only the small trace/WS artifacts (plus vmm) after an
+    # eviction of everything and serves its few demand faults from the
+    # remote memory file (§7.1).
     env, orch = make_orchestrator(TierParameters(
         local_capacity_bytes=64 * MIB))
     profile = toy()
     deploy(env, orch, profile)
     env.run(until=env.process(orch.invoke("toy")))  # record
     snapshot = orch.snapshot_store.get("toy")
+    demoted = {}
     for entry in orch.snapstore.cache.entries_for("toy"):
         orch.snapstore.cache._demote(entry)
-    result = env.run(until=env.process(orch.invoke("toy")))
-    assert result.mode == "reap"
-    by_kind = {entry.kind: entry
-               for entry in orch.snapstore.cache.entries_for("toy")}
-    assert by_kind["vmm"].local and by_kind["ws"].local
-    assert by_kind["trace"].local
-    assert not by_kind["mem"].local
-    assert snapshot.memory_file.device is orch.snapstore.remote
+        demoted[entry.file.name] = entry.kind
+    result = env.run(until=env.process(orch.invoke("toy", mode=mode)))
+    assert result.mode == mode
+    # A forced record registers fresh trace/WS files; only the demoted
+    # ones tell what the restore promoted.
+    local = {demoted[entry.file.name]
+             for entry in orch.snapstore.cache.entries_for("toy")
+             if entry.local and entry.file.name in demoted}
+    assert local == PROMOTED_KINDS[mode]
+    if "mem" not in local:
+        assert snapshot.memory_file.device is orch.snapstore.remote
 
 
 def test_fallback_to_vanilla_releases_tiered_artifacts():
@@ -380,14 +404,13 @@ def test_fallback_to_vanilla_releases_tiered_artifacts():
     state = orch.reap.state_for("toy")
     state.re_records = orch.reap.params.max_re_records
     state.mispredict_streak = orch.reap.params.mispredict_streak_limit
+    # A reap restore whose every prefetched page missed.
+    breakdown = LatencyBreakdown(prefetched_pages=1)
+    policy = orch.reap.policy_for(orch.snapshot_store.get("toy"),
+                                  breakdown, ReapPolicy)
+    policy.monitor = type("M", (), {"demand_faults": 10 ** 6})()
 
-    class _Policy:
-        name = "reap"
-        artifacts = state.artifacts
-        monitor = type("M", (), {"demand_faults": 10 ** 6})()
-        breakdown = type("B", (), {"prefetched_pages": 1})()
-
-    orch.reap.complete("toy", _Policy())
+    orch.reap.complete("toy", policy)
     assert state.fallback_to_vanilla
     # The dead recording no longer occupies the tiers.
     kinds = {entry.kind for entry in orch.snapstore.cache.entries_for("toy")}
