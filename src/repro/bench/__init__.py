@@ -6,7 +6,7 @@ the data behind one table or figure of the paper and returns an
 The ``benchmarks/`` directory wraps these in pytest-benchmark entry
 points; they can also be run directly::
 
-    python -m repro.bench fig8
+    python -m repro.bench run fig8
 """
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment

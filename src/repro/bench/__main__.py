@@ -36,9 +36,6 @@ disables the cache entirely, ``--cache-dir`` relocates it,
 (see :mod:`repro.orchestrator.trace`).  The ``trace_*`` experiments run
 through ``run`` like any other id.
 
-The historical spelling ``python -m repro.bench <experiment>`` (no
-subcommand) still works and means ``run <experiment>``.
-
 See also :mod:`repro.bench.runner` and :mod:`repro.bench.cache`.
 """
 
@@ -60,10 +57,6 @@ from repro.bench.runner import Runner
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiler as obs_profiler
 from repro.obs import tracer as obs_tracer
-
-COMMANDS = ("list", "run", "all", "metrics", "trace", "perf", "lint",
-            "clean-cache")
-
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
@@ -188,21 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="result cache location (default: .repro-cache, "
                             "or $REPRO_CACHE_DIR)")
     return parser
-
-
-def _normalize(argv: list[str]) -> list[str]:
-    """Map the legacy ``python -m repro.bench <experiment>`` form to ``run``.
-
-    The old single-command parser accepted flags and the experiment in
-    any order (``--seed 7 fig3``), so the rewrite triggers whenever no
-    subcommand appears anywhere but some positional does.  Pure-flag
-    invocations (``-h``) still reach the top-level parser untouched.
-    """
-    if any(token in COMMANDS for token in argv):
-        return argv
-    if any(not token.startswith("-") for token in argv):
-        return ["run", *argv]
-    return argv
 
 
 def _cmd_list() -> int:
@@ -421,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         # (argparse REMAINDER cannot capture a leading --flag).
         from repro.lint.cli import main as lint_main
         return lint_main(argv[1:])
-    args = _build_parser().parse_args(_normalize(argv))
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list()

@@ -86,7 +86,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     )
 }
 
-#: Legacy spellings (the old monolithic function names) -> canonical id.
+#: Alias -> canonical id (the few spellings docs, tests and CI use).
 ALIASES: dict[str, str] = {
     alias: experiment.id
     for experiment in EXPERIMENTS.values()

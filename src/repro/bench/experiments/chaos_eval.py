@@ -50,7 +50,6 @@ class SloScorecard(Experiment):
 
     id = "slo_scorecard"
     title = "SLO scorecard under fault injection (§3.2)"
-    aliases = ("chaos_scorecard",)
 
     #: The trace_scale mixed population: sporadic interactive endpoints
     #: plus bursty pipeline stages under the ``azure`` class mix.

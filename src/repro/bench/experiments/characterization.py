@@ -63,7 +63,6 @@ class Fig2ColdVsWarm(Experiment):
 
     id = "fig2"
     title = "Cold-start breakdown vs warm latency (Fig. 2)"
-    aliases = ("fig2_cold_vs_warm",)
 
     def cells(self, functions=None, repetitions: int = 2, seed: int = 42,
               **_kwargs) -> list[Cell]:
@@ -151,7 +150,6 @@ class Fig4Footprints(Experiment):
 
     id = "fig4"
     title = "Memory footprint after boot vs restore (Fig. 4)"
-    aliases = ("fig4_footprints",)
 
     def cells(self, functions=None, seed: int = 42, **_kwargs) -> list[Cell]:
         return [self._cell(name, function=name, seed=seed)
@@ -202,7 +200,6 @@ class Fig5Reuse(Experiment):
 
     id = "fig5"
     title = "Same vs unique pages across invocations (Fig. 5)"
-    aliases = ("fig5_reuse",)
 
     def cells(self, functions=None, seed: int = 42, invocations: int = 4,
               **_kwargs) -> list[Cell]:

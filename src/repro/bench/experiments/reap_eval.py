@@ -40,7 +40,6 @@ class Fig7DesignPoints(Experiment):
 
     id = "fig7"
     title = "REAP optimization steps (Fig. 7)"
-    aliases = ("fig7_design_points",)
 
     def cells(self, repetitions: int = 3, seed: int = 42,
               function: str = "helloworld", **_kwargs) -> list[Cell]:
@@ -168,7 +167,6 @@ class RecordOverhead(Experiment):
 
     id = "record_overhead"
     title = "Record-phase one-time overhead (§6.4)"
-    aliases = ()
 
     def cells(self, functions=None, seed: int = 42, **_kwargs) -> list[Cell]:
         return [self._cell(name, function=name, seed=seed)
@@ -207,7 +205,6 @@ class Mispredictions(Experiment):
 
     id = "mispredictions"
     title = "REAP misprediction cost (§7.1)"
-    aliases = ()
 
     def cells(self, functions=None, seed: int = 42, **_kwargs) -> list[Cell]:
         return [self._cell(name, function=name, seed=seed)
@@ -252,7 +249,6 @@ class FallbackDetection(Experiment):
 
     id = "fallback"
     title = "Stale working-set detection and fallback (§7.2)"
-    aliases = ("fallback_detection",)
 
     def cells(self, seed: int = 42, **_kwargs) -> list[Cell]:
         return [self._cell("unstable", seed=seed)]

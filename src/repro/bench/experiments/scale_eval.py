@@ -57,7 +57,6 @@ class Fig9Scalability(Experiment):
 
     id = "fig9"
     title = "Cold-start latency vs concurrent loading instances (Fig. 9)"
-    aliases = ("fig9_scalability",)
 
     def cells(self, levels=reference.FIG9_LEVELS, seed: int = 42,
               **_kwargs) -> list[Cell]:
@@ -101,7 +100,6 @@ class FioMicrobench(Experiment):
 
     id = "fio"
     title = "fio-style SSD microbenchmarks (§5.2.3)"
-    aliases = ("fio_microbench",)
 
     def cells(self, seed: int = 42, **_kwargs) -> list[Cell]:
         return [self._cell(workload, workload=workload, seed=seed)
@@ -150,7 +148,7 @@ class HddComparison(Fig8ReapSpeedup):
 
     id = "hdd"
     title = "Baseline vs REAP with snapshots on HDD (§6.3)"
-    aliases = ("hdd_comparison",)
+    aliases = ()  # not Fig. 8's alias
 
     def cells(self, functions=None, seed: int = 42, **_kwargs) -> list[Cell]:
         return super().cells(functions=functions, repetitions=1, seed=seed,
@@ -172,7 +170,6 @@ class WarmBackground(Experiment):
 
     id = "warm_background"
     title = "Cold starts with warm background functions (§6.3)"
-    aliases = ()
 
     def cells(self, seed: int = 42, background_functions: int = 20,
               function: str = "helloworld", repetitions: int = 3,
@@ -256,7 +253,6 @@ class TailLatency(Experiment):
 
     id = "tail_latency"
     title = "Latency distribution under sporadic load (§3.3)"
-    aliases = ()
 
     FUNCTIONS = ("helloworld", "pyaes")
 
@@ -343,7 +339,6 @@ class RemoteStorage(Experiment):
 
     id = "remote_storage"
     title = "Snapshots on remote storage (§7.1)"
-    aliases = ()
 
     DEFAULT_FUNCTIONS = ("helloworld", "pyaes", "json_serdes")
 
@@ -398,7 +393,6 @@ class Ablations(Experiment):
 
     id = "ablations"
     title = "Design-choice ablations"
-    aliases = ()
 
     SETTINGS = (
         ("mmap_readahead_pages", (1, 2, 4, 8)),

@@ -61,7 +61,6 @@ class SnapstoreCapacity(Experiment):
 
     id = "snapstore_capacity"
     title = "Snapshot store: page dedup and compression (Fig. 5, §2.3)"
-    aliases = ()
 
     def cells(self, seed: int = 42, functions=None, invocations: int = 4,
               **_kwargs) -> list[Cell]:
@@ -182,7 +181,6 @@ class SnapstoreTiering(Experiment):
 
     id = "snapstore_tiering"
     title = "Tiered snapshot store: restore tails vs local capacity (§7.1)"
-    aliases = ()
 
     #: An azure-mix population of sporadic endpoints and bursty pipeline
     #: stages whose snapshot artifacts total ~725 MB per worker.
@@ -285,7 +283,8 @@ class SnapstoreTiering(Experiment):
                 cold += sum(1 for sample in function_stats.samples
                             if sample.mode != "warm")
             for worker in cluster.workers:
-                counters = worker.orchestrator.snapstore.stats.to_dict()
+                store = worker.orchestrator.snapshot_store
+                counters = store.cache.stats.to_dict()
                 for key in tier_totals:
                     tier_totals[key] += counters[key]
             locality_routed += cluster.balancer.stats.locality_routed

@@ -68,7 +68,6 @@ class TraceReplayEval(Experiment):
 
     id = "trace_replay"
     title = "Trace replay: cold fraction and tail latency per class (§2.1)"
-    aliases = ("trace_eval",)
 
     #: Small-input suite subset: light enough to replay hundreds of
     #: arrivals per cell, varied enough to exercise distinct working
@@ -160,7 +159,6 @@ class TraceClusterScale(Experiment):
 
     id = "trace_scale"
     title = "Azure-mix trace replay vs cluster size (§3.2)"
-    aliases = ()
 
     #: A mixed population whose warm times stay cold-start-dominated:
     #: sporadic interactive endpoints (helloworld, cnn_serving), bursty

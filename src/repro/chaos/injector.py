@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.chaos.plan import FaultEvent, FaultPlan, RetryPolicy
+from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.sim.engine import Event, Interrupt
@@ -63,13 +63,12 @@ class ChaosStats:
 class ChaosController:
     """Deterministic fault injection against one cluster."""
 
-    def __init__(self, cluster, plan: FaultPlan | None = None,
-                 retry: RetryPolicy | None = None) -> None:
+    def __init__(self, cluster, plan: FaultPlan | None = None) -> None:
         self.cluster = cluster
         self.env = cluster.env
         self.plan = plan or FaultPlan()
-        #: Failover budget the cluster's resilient invoke path applies.
-        self.retry = retry or self.plan.retry
+        # The plan's failover budget governs the cluster's invoke path.
+        cluster.retry = self.plan.retry
         self.stats = ChaosStats()
         #: Shared failure switches of every worker's remote device.
         self.fault = RemoteFaultState()
@@ -142,9 +141,7 @@ class ChaosController:
             self.stats.latency_spikes += 1
 
     def _wire(self, worker) -> None:
-        store = worker.orchestrator.snapstore
-        if store is not None:
-            store.remote.fault = self.fault
+        worker.orchestrator.snapshot_store.set_remote_fault(self.fault)
 
     # -- crash semantics --------------------------------------------------
 
@@ -176,9 +173,8 @@ class ChaosController:
         worker.autoscaler.stop()
         for name in worker.orchestrator.deployed_names():
             worker.orchestrator.evict_warm(name)
-        store = worker.orchestrator.snapstore
-        if store is not None:
-            self.stats.lost_local_bytes += store.cache.lose_local()
+        self.stats.lost_local_bytes += (
+            worker.orchestrator.snapshot_store.lose_local())
         self._rereplicate(worker)
 
     def _rereplicate(self, crashed) -> None:
@@ -188,14 +184,15 @@ class ChaosController:
         ``_affinity_digest`` order the cold route uses) was the crashed
         one, the next-ranked survivor proactively promotes the
         function's artifacts into its local tier, so the next cold
-        start there is already local.
+        start there is already local (untiered: no replica kinds).
         """
         from repro.orchestrator.cluster import _affinity_digest
 
         cluster = self.cluster
         healthy = [worker for worker in cluster.workers
                    if not worker.cordoned]
-        if not healthy:
+        store = crashed.orchestrator.snapshot_store
+        if not healthy or not store.replica_kinds:
             return
         for profile in cluster.profiles:
             name = profile.name
@@ -207,17 +204,15 @@ class ChaosController:
             if home is not crashed:
                 continue
             target = min(healthy, key=rank)
-            store = target.orchestrator.snapstore
-            if store is None:
-                continue
             self._background.append(self.env.process(
-                self._pull(store, name), name=f"rereplicate:{name}"))
+                self._pull(target.orchestrator.snapshot_store, name),
+                name=f"rereplicate:{name}"))
 
     def _pull(self, store, name: str) -> Generator[Event, Any, None]:
         tracer = obs_tracer.ACTIVE
         try:
-            pinned = yield from store.cache.ensure_local(
-                name, ("vmm", "mem", "trace", "ws"))
+            pinned = yield from store.ensure_for_restore(
+                name, store.replica_kinds)
         except Interrupt:
             # Cluster shutdown cancelled the pull; ensure_local already
             # dropped its pins and promotion reservations.
@@ -228,7 +223,7 @@ class ChaosController:
             # artifacts stay remote until a later restore promotes them.
             self.stats.rereplication_failures += 1
             return
-        store.cache.unpin(pinned)
+        store.unpin(pinned)
         self.stats.rereplicated += 1
         if tracer is not None:
             tracer.instant("rereplicate", self.env.now, lane="faults",

@@ -25,7 +25,7 @@ from repro.core.files import ReapArtifacts
 from repro.core.policies import RestorePolicy
 from repro.obs import tracer as obs_tracer
 from repro.vm.host import WorkerHost
-from repro.vm.snapshot import Snapshot
+from repro.vm.snapshot import Snapshot, SnapshotStore
 
 #: Working-set generations kept per function in
 #: :attr:`FunctionReapState.ws_history` (recorded sets plus, under the
@@ -69,13 +69,12 @@ class FunctionReapState:
 class ReapManager:
     """Chooses and updates the restore mode for every function."""
 
-    def __init__(self, host: WorkerHost,
-                 params: ReapParameters | None = None,
-                 store=None) -> None:
+    def __init__(self, host: WorkerHost, store: SnapshotStore,
+                 params: ReapParameters | None = None) -> None:
         self.host = host
         self.params = params or ReapParameters()
-        #: Optional :class:`~repro.snapstore.store.TieredSnapshotStore`;
-        #: recorded trace/WS files are placed (and reclaimed) through it.
+        #: The worker's snapshot store; recorded trace/WS files are
+        #: placed (and reclaimed) through it.
         self.store = store
         self._states: dict[str, FunctionReapState] = {}
         #: Trace process name (the owning orchestrator overrides it).
@@ -135,9 +134,8 @@ class ReapManager:
             state.artifacts = policy.artifacts
             state.records_done += 1
             state.mispredict_streak = 0
-            if self.store is not None:
-                self.store.register_reap_artifacts(function_name,
-                                                   policy.artifacts)
+            self.store.register_reap_artifacts(function_name,
+                                               policy.artifacts)
             if tracer is not None:
                 tracer.instant("reap_recorded", self.host.env.now,
                                lane="reap", proc=self.obs_proc, cat="reap",
@@ -170,8 +168,7 @@ class ReapManager:
                 # §7.2: repeat the record phase.
                 state.re_records += 1
                 state.artifacts = None
-                if self.store is not None:
-                    self.store.release_reap_artifacts(function_name)
+                self.store.release_reap_artifacts(function_name)
                 if tracer is not None:
                     tracer.instant("reap_re_record", self.host.env.now,
                                    lane="reap", proc=self.obs_proc,
@@ -182,8 +179,7 @@ class ReapManager:
                 # §7.2: fall back to vanilla snapshots.  The recording
                 # will never be read again; stop it occupying the tiers.
                 state.fallback_to_vanilla = True
-                if self.store is not None:
-                    self.store.release_reap_artifacts(function_name)
+                self.store.release_reap_artifacts(function_name)
                 if tracer is not None:
                     tracer.instant("reap_fallback", self.host.env.now,
                                    lane="reap", proc=self.obs_proc,

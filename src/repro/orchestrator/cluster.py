@@ -31,6 +31,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
+from repro.chaos.plan import RetryPolicy
 from repro.core.manager import ReapParameters
 from repro.functions.spec import FunctionProfile
 from repro.memory.guest import ContentMode
@@ -257,6 +258,8 @@ class Cluster:
         #: The attached chaos controller, if any
         #: (:class:`repro.chaos.injector.ChaosController` sets this).
         self.chaos: Any = None
+        #: Failover budget of :meth:`invoke` (a chaos controller sets it).
+        self.retry = RetryPolicy(max_retries=0)
         self._closed = False
         self.workers: list[Worker] = []
         for index in range(n_workers):
@@ -314,10 +317,10 @@ class Cluster:
         Each attempt runs in the calling process, which is registered in
         the worker's in-flight set meanwhile so a crash interrupts it
         directly.  Failures caused by injected faults are replayed on a
-        surviving worker under the chaos controller's retry budget;
-        without a controller the budget is zero.
+        surviving worker under :attr:`retry` (zero retries unless a chaos
+        controller attached).
         """
-        max_retries = 0 if self.chaos is None else self.chaos.retry.max_retries
+        retry = self.retry
         caller = self.env.active_process
         tracer = obs_tracer.ACTIVE
         attempt = 0
@@ -338,11 +341,10 @@ class Cluster:
             finally:
                 worker.inflight.pop(caller, None)
                 worker.outstanding -= 1
-            if attempt >= max_retries:
+            if attempt >= retry.max_retries:
                 self._shed(function_name, attempt + 1, tracer)
             self._note_retry(function_name, worker.index, attempt, tracer)
-            yield self.env.timeout(
-                self.chaos.retry.backoff_s(attempt) * SEC)
+            yield self.env.timeout(retry.backoff_s(attempt) * SEC)
             attempt += 1
 
     def _shed(self, function_name: str, attempts: int, tracer) -> None:

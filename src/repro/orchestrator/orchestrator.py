@@ -53,7 +53,7 @@ from repro.sim.engine import Event
 from repro.sim.rng import derive_seed
 from repro.sim.units import MS
 from repro.snapstore.store import TieredSnapshotStore
-from repro.snapstore.tier import TierParameters
+from repro.snapstore.tier import TierCache, TierParameters
 from repro.vm.boot import boot_microvm
 from repro.vm.host import WorkerHost
 from repro.vm.microvm import MicroVM, VmState
@@ -169,13 +169,12 @@ class Orchestrator:
         self.env = host.env
         self.seed = seed
         self.content = content
-        #: Tiered artifact placement (bounded local SSD over a remote
-        #: service, §7.1); ``None`` keeps every artifact local.
-        self.snapstore = None
-        if snapstore_params is not None:
-            self.snapstore = TieredSnapshotStore(host, snapstore_params)
-        self.snapshot_store = SnapshotStore(host, tiered=self.snapstore)
-        self.reap = ReapManager(host, reap_params, store=self.snapstore)
+        #: Snapshots and their placement (tiered over a remote service
+        #: with ``snapstore_params``, §7.1; otherwise all local).
+        self.snapshot_store = (
+            SnapshotStore(host) if snapstore_params is None
+            else TieredSnapshotStore(host, snapstore_params))
+        self.reap = ReapManager(host, self.snapshot_store, reap_params)
         #: Cold-start policy layer (the floor_study scheme and prewarm,
         #: :mod:`repro.policies`); the default ``reap`` scheme leaves
         #: the REAP manager's mode selection as it is.
@@ -186,12 +185,17 @@ class Orchestrator:
         #: each worker maps to its own pid in exported traces).
         self.obs_proc = "worker0"
 
+    @property
+    def snapstore(self) -> TierCache | None:
+        """The tier cache, ``None`` if untiered (read by ``perfbench/``)."""
+        store = self.snapshot_store
+        return store.cache if isinstance(store, TieredSnapshotStore) else None
+
     def set_obs_proc(self, proc: str) -> None:
         """Name this worker's trace process and propagate to sub-systems."""
         self.obs_proc = proc
         self.reap.obs_proc = proc
-        if self.snapstore is not None:
-            self.snapstore.cache.obs_proc = proc
+        self.snapshot_store.set_obs_proc(proc)
 
     # -- deployment -----------------------------------------------------------
 
@@ -236,9 +240,8 @@ class Orchestrator:
         state = self.reap.state_for(name)
         state.artifacts = None
         state.mispredict_streak = 0
-        if self.snapstore is not None:
-            # The old-layout trace/WS files are dead weight in the tiers.
-            self.snapstore.release_reap_artifacts(name)
+        # The old-layout trace/WS files are dead weight in the tiers.
+        self.snapshot_store.release_reap_artifacts(name)
         return entry
 
     def function(self, name: str) -> DeployedFunction:
@@ -412,8 +415,7 @@ class Orchestrator:
                 else:
                     self._teardown_instance(warm)
             finally:
-                if pinned:
-                    self.snapstore.unpin(pinned)
+                self.snapshot_store.unpin(pinned)
             cold.end_args = {"policy": policy.name,
                              "total_us": breakdown.total_us}
         return InvocationResult(
@@ -443,20 +445,16 @@ class Orchestrator:
         env = self.env
         host = self.host
         params = host.params
-        if self.snapstore is not None:
-            with _Phase(self, "artifact_ensure", lane,
-                        cat="snapstore") as ensure:
-                pinned.extend((yield from self.snapstore.ensure_for_restore(
-                    name, policy_cls.artifact_kinds, breakdown)))
-                ensure.end_args = {"pinned": len(pinned)}
-            if (not forced and policy_cls.prefetches
-                    and breakdown.extra.get("artifact_unreachable")):
-                # The recorded trace/WS artifacts sit behind an
-                # unreachable remote service: degrade to a vanilla
-                # restore (lazy faults hit whatever is locally resident)
-                # instead of failing in prepare().
-                policy_cls = VanillaPolicy
-                breakdown.extra["degraded_to_vanilla"] = True
+        pinned.extend((yield from self.snapshot_store.ensure_for_restore(
+            name, policy_cls.artifact_kinds, breakdown, lane)))
+        if (not forced and policy_cls.prefetches
+                and breakdown.extra.get("artifact_unreachable")):
+            # The recorded trace/WS artifacts sit behind an unreachable
+            # remote service: degrade to a vanilla restore (lazy faults
+            # hit whatever is locally resident) instead of failing in
+            # prepare().
+            policy_cls = VanillaPolicy
+            breakdown.extra["degraded_to_vanilla"] = True
 
         # 1. Load VMM (containerd + Firecracker + state file + devices).
         with _Phase(self, "load_vmm", lane, breakdown, "load_vmm_us",
@@ -501,8 +499,7 @@ class Orchestrator:
                     # next cold start re-records.
                     breakdown.extra["artifact_error"] = True
                     self.reap.state_for(name).artifacts = None
-                    if self.snapstore is not None:
-                        self.snapstore.release_reap_artifacts(name)
+                    self.snapshot_store.release_reap_artifacts(name)
                 prepare.end_args = {
                     "fetch_ws_us": breakdown.fetch_ws_us,
                     "install_ws_us": breakdown.install_ws_us,
@@ -569,8 +566,7 @@ class Orchestrator:
                     raise
                 entry.warm.append(WarmInstance(vm=vm, policy=policy))
             finally:
-                if pinned:
-                    self.snapstore.unpin(pinned)
+                self.snapshot_store.unpin(pinned)
             span.end_args = {"policy": policy.name,
                              "total_us": breakdown.total_us}
         return True

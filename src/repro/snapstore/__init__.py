@@ -15,8 +15,9 @@ SSD or behind a remote S3/EBS-style service dominates restore behaviour
   working-set-aware); demotion flips an artifact file's device to the
   remote path, so every subsequent read -- lazy fault, WS fetch, VMM
   load -- transparently pays the network;
-* :mod:`repro.snapstore.store` -- the facade the orchestrator uses:
-  snapshot bundles and REAP artifacts register here, and every cold
+* :mod:`repro.snapstore.store` -- the tiered subclass of the worker's
+  snapshot store: snapshot bundles and REAP artifacts register in the
+  tier, and every cold
   restore first ensures the artifacts its policy needs are local
   (promote-on-restore), faithfully reproducing §7.1's remote-storage
   penalty when they are not.

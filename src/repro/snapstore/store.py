@@ -1,10 +1,11 @@
-"""The tiered snapshot store the orchestrator talks to.
+"""The tiered snapshot store: placement over a :class:`TierCache`.
 
-One :class:`TieredSnapshotStore` per worker glues the pieces together:
+:class:`TieredSnapshotStore` subclasses
+:class:`~repro.vm.snapshot.SnapshotStore` and overrides its (untiered,
+no-op) placement methods:
 
-* snapshot capture registers the VMM-state and guest-memory files
-  (:meth:`register_snapshot`); superseded generations are released when
-  :class:`~repro.vm.snapshot.SnapshotStore` reclaims them;
+* snapshot capture registers the VMM-state and guest-memory files;
+  superseded generations are released when the store reclaims them;
 * REAP's record phase registers the trace and working-set files
   (:meth:`register_reap_artifacts`), replacing any stale recording;
 * every cold restore first calls :meth:`ensure_for_restore` with the
@@ -28,20 +29,23 @@ from typing import Any, Generator, Optional
 
 from repro.core.context import LatencyBreakdown
 from repro.core.files import ReapArtifacts
+from repro.obs import tracer as obs_tracer
 from repro.sim.engine import Event
 from repro.snapstore.tier import TierCache, TierEntry, TierParameters
-from repro.storage.remote import RemoteDevice
+from repro.storage.remote import RemoteDevice, RemoteFaultState
 from repro.storage.ssd import SsdDevice
 from repro.vm.host import WorkerHost
-from repro.vm.snapshot import Snapshot
+from repro.vm.microvm import MicroVM
+from repro.vm.snapshot import Snapshot, SnapshotStore
 
 
-class TieredSnapshotStore:
+class TieredSnapshotStore(SnapshotStore):
     """Tier-managed snapshot artifact placement for one worker."""
+
+    replica_kinds = ("vmm", "mem", "trace", "ws")
 
     def __init__(self, host: WorkerHost,
                  params: TierParameters | None = None) -> None:
-        self.host = host
         self.params = params or TierParameters()
         remote_params = self.params.remote or host.params.remote
         #: The storage service's own disks sit behind the network hop.
@@ -49,18 +53,22 @@ class TieredSnapshotStore:
             host.env, SsdDevice(host.env, host.params.ssd),
             remote_params, name="snapstore-remote")
         self.cache = TierCache(host.env, self.remote, self.params)
+        super().__init__(host)
 
     # -- registration -----------------------------------------------------
 
-    def register_snapshot(self, snapshot: Snapshot) -> None:
-        """Admit a freshly captured snapshot's files into the tiers."""
+    def capture(self, vm: MicroVM,
+                stop_vm: bool = True) -> Generator[Event, Any, Snapshot]:
+        """Capture as the base store does, then admit the new files."""
+        snapshot = yield from super().capture(vm, stop_vm)
         self.cache.register(snapshot.vmm_file, snapshot.function_name,
                             "vmm")
         self.cache.register(snapshot.memory_file, snapshot.function_name,
                             "mem")
+        return snapshot
 
-    def release_snapshot(self, snapshot: Snapshot) -> None:
-        """Forget a superseded snapshot generation's files."""
+    def _reclaim(self, snapshot: Snapshot) -> None:
+        super()._reclaim(snapshot)
         self.cache.release(snapshot.vmm_file.name)
         self.cache.release(snapshot.memory_file.name)
 
@@ -83,18 +91,26 @@ class TieredSnapshotStore:
     def ensure_for_restore(self, function_name: str,
                            kinds: tuple[str, ...],
                            breakdown: Optional[LatencyBreakdown] = None,
+                           lane: str | None = None,
                            ) -> Generator[Event, Any, list[TierEntry]]:
         """Promote + pin the function's artifacts of the given ``kinds``.
 
         Returns the pinned entries; the orchestrator unpins them when
         the invocation finishes.  Promotion time (the §7.1 remote
         penalty) lands in ``breakdown.extra["snapstore_promote_us"]``.
+        With a trace ``lane`` the call is one ``artifact_ensure`` span
+        (on an exception the caller's phase aborts the lane, closing it).
         """
-        started = self.host.env.now
+        env = self.host.env
+        started = env.now
+        tracer = obs_tracer.ACTIVE if lane is not None else None
+        span = None if tracer is None else tracer.begin(
+            "artifact_ensure", started, lane=lane,
+            proc=self.cache.obs_proc, cat="snapstore")
         before_unreachable = self.cache.stats.unreachable
         pinned = yield from self.cache.ensure_local(function_name, kinds)
         if breakdown is not None:
-            elapsed = self.host.env.now - started
+            elapsed = env.now - started
             if elapsed > 0.0:
                 breakdown.extra["snapstore_promote_us"] = (
                     breakdown.extra.get("snapstore_promote_us", 0.0)
@@ -104,19 +120,32 @@ class TieredSnapshotStore:
                 # orchestrator may degrade a prefetching restore to
                 # vanilla rather than lazy-fault against a dead service.
                 breakdown.extra["artifact_unreachable"] = True
+        if tracer is not None:
+            tracer.end(span, env.now, args={"pinned": len(pinned)})
         return pinned
 
     def unpin(self, entries: list[TierEntry]) -> None:
         """Release the pins taken by :meth:`ensure_for_restore`."""
         self.cache.unpin(entries)
 
-    # -- introspection ----------------------------------------------------
+    def set_obs_proc(self, proc: str) -> None:
+        """Name the trace process of this worker's tier spans."""
+        self.cache.obs_proc = proc
+
+    # -- routing and crashes ---------------------------------------------
+
+    def locality_bytes(self, function_name: str) -> int:
+        """The function's artifact bytes in the local tier (routing)."""
+        return self.local_bytes(function_name)
 
     def local_bytes(self, function_name: str) -> int:
-        """Locally resident artifact bytes of one function (routing)."""
+        """Locally resident artifact bytes of one function."""
         return self.cache.local_bytes(function_name)
 
-    @property
-    def stats(self):
-        """The underlying :class:`~repro.snapstore.tier.TierStats`."""
-        return self.cache.stats
+    def set_remote_fault(self, fault: RemoteFaultState) -> None:
+        """Make the remote service obey the fleet's failure switches."""
+        self.remote.fault = fault
+
+    def lose_local(self) -> int:
+        """Drop the local tier (remote copies survive); bytes lost."""
+        return self.cache.lose_local()

@@ -161,11 +161,11 @@ class TierStats:
 class TierCache:
     """The bounded local tier (see module docstring)."""
 
-    def __init__(self, env: Environment, remote_device: RemoteDevice,
+    def __init__(self, env: Environment, remote: RemoteDevice,
                  params: TierParameters | None = None) -> None:
         sanitizer.track_tier_cache(self)
         self.env = env
-        self.remote_device = remote_device
+        self.remote = remote
         self.params = params or TierParameters()
         self._evict_key = EVICTION_POLICIES[self.params.eviction]
         self._entries: dict[str, TierEntry] = {}
@@ -357,7 +357,7 @@ class TierCache:
                 args={"artifact": entry.kind, "bytes": entry.size})
         try:
             # One large sequential fetch from the remote service.
-            yield from self.remote_device.read(IoRequest(
+            yield from self.remote.read(IoRequest(
                 lba=entry.file.to_lba(0), nbytes=entry.size,
                 kind=ReadKind.BUFFERED))
         except BaseException:
@@ -486,4 +486,4 @@ class TierCache:
                 self.stats.evictions += 1
                 self.stats.demoted_bytes += entry.size
         entry.local = False
-        entry.file.device = self.remote_device
+        entry.file.device = self.remote

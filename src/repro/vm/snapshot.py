@@ -16,10 +16,9 @@ In-flight restores keep reading their cloned views -- reclaim has
 POSIX-unlink semantics.  Restore policies (in :mod:`repro.core`) decide
 *how* pages get from the memory file into a new instance's guest memory.
 
-A store may be backed by a
-:class:`~repro.snapstore.store.TieredSnapshotStore`: captures then
-register their files with the tier cache (bounded local SSD over a
-remote service) and reclaim releases them.
+The store also places the artifacts: its placement methods are the
+untiered no-ops (everything sits on the local SSD), which
+:class:`~repro.snapstore.store.TieredSnapshotStore` overrides (§7.1).
 
 See also :mod:`repro.core.policies` (lazy vs prefetched population),
 :mod:`repro.storage.thinpool` (the device path both files sit behind),
@@ -85,12 +84,14 @@ class SnapshotStoreStats:
 
 
 class SnapshotStore:
-    """Per-host registry of function snapshots."""
+    """Per-host registry of function snapshots and their placement."""
 
-    def __init__(self, host: WorkerHost, tiered=None) -> None:
+    #: Artifact kinds a survivor pulls when a crash took their home
+    #: (:mod:`repro.chaos`); untiered, there is no remote copy to pull.
+    replica_kinds: tuple[str, ...] = ()
+
+    def __init__(self, host: WorkerHost) -> None:
         self.host = host
-        #: Optional :class:`~repro.snapstore.store.TieredSnapshotStore`.
-        self.tiered = tiered
         self.stats = SnapshotStoreStats()
         self._latest: dict[str, Snapshot] = {}
         registry = obs_metrics.ACTIVE
@@ -159,8 +160,6 @@ class SnapshotStore:
         self.stats.captures += 1
         if previous is not None:
             self._reclaim(previous)
-        if self.tiered is not None:
-            self.tiered.register_snapshot(snapshot)
         if stop_vm:
             vm.transition(VmState.STOPPED)
         else:
@@ -175,8 +174,6 @@ class SnapshotStore:
             # holes never held filesystem space (``du`` semantics).
             self.stats.reclaimed_bytes += file.written_bytes
         self.stats.reclaimed_snapshots += 1
-        if self.tiered is not None:
-            self.tiered.release_snapshot(snapshot)
 
     def get(self, function_name: str) -> Snapshot:
         """The latest snapshot for a function."""
@@ -189,20 +186,6 @@ class SnapshotStore:
     def exists(self, function_name: str) -> bool:
         """Whether a snapshot exists for ``function_name``."""
         return function_name in self._latest
-
-    def locality_bytes(self, function_name: str) -> int:
-        """Artifact bytes of a function resident on this worker's SSD.
-
-        The cluster front end uses this for snapshot-locality-aware
-        routing: without a tier cache everything a worker holds is
-        local; with one, the tier's placement decides.
-        """
-        if function_name not in self._latest:
-            return 0
-        if self.tiered is not None:
-            return self.tiered.local_bytes(function_name)
-        snapshot = self._latest[function_name]
-        return snapshot.vmm_file.size + snapshot.memory_file.size
 
     def instantiate(self, snapshot: Snapshot, backing: BackingMode,
                     content: ContentMode = ContentMode.METADATA,
@@ -226,3 +209,39 @@ class SnapshotStore:
                              backing_file=memory_file)
         return MicroVM(self.host.env, snapshot.profile, snapshot.behavior,
                        memory)
+
+    # -- artifact placement: the untiered no-ops ---------------------------
+
+    def locality_bytes(self, function_name: str) -> int:
+        """Artifact bytes of a function on this worker's SSD (routing)."""
+        snapshot = self._latest.get(function_name)
+        if snapshot is None:
+            return 0
+        return snapshot.vmm_file.size + snapshot.memory_file.size
+
+    def register_reap_artifacts(self, function_name: str, artifacts) -> None:
+        """Place a fresh recording's trace/WS files."""
+
+    def release_reap_artifacts(self, function_name: str) -> None:
+        """Forget a function's recorded trace/WS files."""
+
+    def ensure_for_restore(self, function_name: str, kinds: tuple[str, ...],
+                           breakdown=None, lane: str | None = None,
+                           ) -> Generator[Event, Any, list]:
+        """Make the ``kinds`` artifacts local and pin them; returns the
+        pins.  Untiered: nothing to do, no event yielded."""
+        return []
+        yield  # pragma: no cover - makes this a generator
+
+    def unpin(self, entries: list) -> None:
+        """Release the pins taken by :meth:`ensure_for_restore`."""
+
+    def set_obs_proc(self, proc: str) -> None:
+        """Name the trace process of placement spans."""
+
+    def set_remote_fault(self, fault) -> None:
+        """Obey the fleet's remote-service failure switches (chaos)."""
+
+    def lose_local(self) -> int:
+        """Crash: drop the local tier's copies; returns bytes lost."""
+        return 0

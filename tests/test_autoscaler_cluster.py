@@ -200,7 +200,7 @@ def test_affinity_tie_break_is_deterministic_and_sticky():
 def test_locality_preference_routes_to_artifact_holder():
     env, cluster = make_tiered_cluster()
     # Evict everything from worker 0's tier; worker 1 keeps its copy.
-    store = cluster.workers[0].orchestrator.snapstore
+    store = cluster.workers[0].orchestrator.snapshot_store
     for entry in store.cache.entries_for("toy"):
         store.cache._demote(entry)
     assert cluster.workers[0].orchestrator.snapshot_store \
@@ -213,7 +213,7 @@ def test_locality_preference_routes_to_artifact_holder():
 
 def test_locality_overflow_guard_spreads_under_skew():
     env, cluster = make_tiered_cluster()
-    store = cluster.workers[0].orchestrator.snapstore
+    store = cluster.workers[0].orchestrator.snapshot_store
     for entry in store.cache.entries_for("toy"):
         store.cache._demote(entry)
     # The artifact holder is far busier than the empty worker: the
@@ -228,7 +228,7 @@ def test_locality_overflow_guard_spreads_under_skew():
 
 def test_locality_blind_balancer_ignores_placement():
     env, cluster = make_tiered_cluster(locality_aware=False)
-    store = cluster.workers[0].orchestrator.snapstore
+    store = cluster.workers[0].orchestrator.snapshot_store
     for entry in store.cache.entries_for("toy"):
         store.cache._demote(entry)
     # Blind routing spreads by load alone: equal outstanding -> index 0,

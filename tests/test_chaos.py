@@ -246,13 +246,13 @@ def test_crash_loses_local_tier_and_rereplicates():
         env.run(until=env.timeout(1.0 * SEC))
         env.run(until=env.process(chaos.drain()))
     assert chaos.stats.lost_local_bytes > 0
-    assert not any(entry.local for entry
-                   in home.orchestrator.snapstore.cache.entries_for("toy"))
+    home_tier = home.orchestrator.snapshot_store.cache
+    assert not any(entry.local for entry in home_tier.entries_for("toy"))
     # The function's artifacts were re-homed onto the survivor.
     assert chaos.stats.rereplicated == 1
     survivor = cluster.workers[1 - home.index]
     assert all(entry.local for entry in
-               survivor.orchestrator.snapstore.cache.entries_for("toy"))
+               survivor.orchestrator.snapshot_store.cache.entries_for("toy"))
 
 
 def test_remote_outage_retries_then_sheds():
@@ -264,7 +264,7 @@ def test_remote_outage_retries_then_sheds():
         # Every artifact is remote-only, and the remote service is dark
         # for far longer than the whole retry budget.
         for worker in cluster.workers:
-            cache = worker.orchestrator.snapstore.cache
+            cache = worker.orchestrator.snapshot_store.cache
             for entry in cache.entries_for("toy"):
                 cache._demote(entry)
         ChaosController(cluster, FaultPlan(events=(
@@ -369,16 +369,16 @@ def make_tiered_orchestrator(seed=7, **tier_kwargs):
 
 def test_promote_deadline_bypasses_to_serve_remote():
     env, orch = make_tiered_orchestrator(promote_timeout_us=1_000.0)
-    cache = orch.snapstore.cache
+    cache = orch.snapshot_store.cache
     for entry in cache.entries_for("toy"):
         cache._demote(entry)
     # Promotes park behind a stalled remote; the deadline abandons them
     # and the restore serves the artifacts remotely in place.
-    orch.snapstore.remote.fault = RemoteFaultState(
+    orch.snapshot_store.remote.fault = RemoteFaultState(
         outage_until=0.5 * SEC, outage_mode="stall")
     result = env.run(until=env.process(orch.invoke("toy",
                                                    mode="vanilla")))
-    stats = orch.snapstore.stats
+    stats = orch.snapshot_store.cache.stats
     assert stats.promote_timeouts >= 1
     assert stats.promotions == 0
     assert result.latency_ms > 0.0
@@ -390,26 +390,26 @@ def test_promote_deadline_bypasses_to_serve_remote():
 def test_unreachable_artifacts_degrade_reap_to_vanilla():
     env, orch = make_tiered_orchestrator()
     env.run(until=env.process(orch.invoke("toy")))  # record
-    cache = orch.snapstore.cache
+    cache = orch.snapshot_store.cache
     # Only the REAP artifacts go remote; vmm+mem stay local, so the
     # degraded vanilla restore can complete without the remote service.
     for entry in cache.entries_for("toy"):
         if entry.kind in ("trace", "ws"):
             cache._demote(entry)
-    orch.snapstore.remote.fault = RemoteFaultState(
+    orch.snapshot_store.remote.fault = RemoteFaultState(
         outage_until=10 ** 9, outage_mode="fail")
     result = env.run(until=env.process(orch.invoke("toy")))
     assert result.mode == "vanilla"
     assert result.breakdown.extra["degraded_to_vanilla"] is True
-    assert orch.snapstore.stats.unreachable >= 1
+    assert orch.snapshot_store.cache.stats.unreachable >= 1
 
 
 def test_outage_window_end_restores_promotion():
     env, orch = make_tiered_orchestrator()
-    cache = orch.snapstore.cache
+    cache = orch.snapshot_store.cache
     for entry in cache.entries_for("toy"):
         cache._demote(entry)
-    orch.snapstore.remote.fault = RemoteFaultState(
+    orch.snapshot_store.remote.fault = RemoteFaultState(
         outage_until=0.1 * SEC, outage_mode="fail")
 
     def scenario():
@@ -418,8 +418,8 @@ def test_outage_window_end_restores_promotion():
         return result
 
     env.run(until=env.process(scenario()))
-    assert orch.snapstore.stats.promotions >= 1
-    assert orch.snapstore.stats.unreachable == 0
+    assert orch.snapshot_store.cache.stats.promotions >= 1
+    assert orch.snapshot_store.cache.stats.unreachable == 0
 
 
 # -- the slo_scorecard experiment -------------------------------------------

@@ -17,14 +17,15 @@ def test_cli_list(capsys):
 
 
 def test_cli_runs_single_experiment(capsys, tmp_path):
-    assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
+    assert main(["run", "table1", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "helloworld" in out
     assert "Table 1" in out
 
 
 def test_cli_seed_flag(capsys, tmp_path):
-    assert main(["fig3", "--seed", "7", "--cache-dir", str(tmp_path)]) == 0
+    assert main(["run", "fig3", "--seed", "7",
+                 "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "mean_run_length" in out
 
@@ -49,24 +50,12 @@ def test_cli_unknown_experiment_is_a_helpful_error(capsys):
     assert "fig8_reap_speedup" in err  # and the aliases
 
 
-def test_cli_legacy_positional_unknown_id_no_traceback(capsys):
-    # Historically this fell through to a bare KeyError traceback.
-    assert main(["definitely_not_real", "--no-cache"]) == 2
-    assert "valid ids" in capsys.readouterr().err
-
-
 def test_cli_jobs_flag(capsys, tmp_path):
     assert main(["run", "fig3", "--jobs", "2",
                  "--cache-dir", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert "mean_run_length" in captured.out
     assert "worker(s)" in captured.err
-
-
-def test_cli_legacy_flag_first_order(capsys, tmp_path):
-    # The pre-subcommand parser accepted flags before the experiment.
-    assert main(["--seed", "7", "fig3", "--cache-dir", str(tmp_path)]) == 0
-    assert "mean_run_length" in capsys.readouterr().out
 
 
 def test_cli_stats_go_to_stderr_not_stdout(capsys):
@@ -118,6 +107,14 @@ def test_cli_clean_cache(capsys, tmp_path):
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_experiment_without_subcommand_is_a_usage_error(capsys):
+    # An experiment id is not a subcommand: argparse rejects it (exit 2).
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig3"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'fig3'" in capsys.readouterr().err
 
 
 # -- trace subcommand ------------------------------------------------------

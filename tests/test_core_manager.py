@@ -7,7 +7,7 @@ from repro.functions import FunctionProfile
 from repro.memory import ContentMode
 from repro.orchestrator import Orchestrator
 from repro.sim import Environment
-from repro.vm import WorkerHost
+from repro.vm import SnapshotStore, WorkerHost
 
 
 def unstable_profile(divergence=0.9):
@@ -107,7 +107,8 @@ def test_policy_for_rejects_prefetch_without_artifacts():
 
 
 def test_manager_state_isolated_per_function():
-    manager = ReapManager(WorkerHost(Environment()))
+    host = WorkerHost(Environment())
+    manager = ReapManager(host, SnapshotStore(host))
     state_a = manager.state_for("a")
     state_b = manager.state_for("b")
     assert state_a is not state_b

@@ -20,9 +20,11 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profiler as obs_profiler
 from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import SpanError, validate_chrome_trace
-from repro.orchestrator import Autoscaler, Cluster
+from repro.orchestrator import Autoscaler, Cluster, Orchestrator
 from repro.sim.engine import Environment, Interrupt
 from repro.sim.units import MS
+from repro.snapstore.tier import TierParameters
+from repro.vm import WorkerHost
 
 
 @pytest.fixture
@@ -241,6 +243,50 @@ def test_cold_start_spans_close_in_documented_phase_order(tracer):
     for window in tracer.spans_named("fault_window"):
         assert window.parent.name in ("connection", "processing")
         assert window.args["faults"] >= 1
+
+
+def tiered_orchestrator(evicted=False):
+    """A deployed ``toy`` on a tiered worker (artifacts demoted if
+    ``evicted``, so the next cold start promotes them)."""
+    env = Environment()
+    orch = Orchestrator(WorkerHost(env, seed=7), seed=7,
+                        snapstore_params=TierParameters())
+    env.run(until=env.process(orch.deploy(toy())))
+    cache = orch.snapshot_store.cache
+    for entry in cache.entries_for("toy") if evicted else ():
+        cache._demote(entry)
+    return env, orch
+
+
+def test_tiered_cold_start_opens_artifact_ensure_first(tracer):
+    env, orch = tiered_orchestrator()
+    env.run(until=env.process(orch.invoke("toy")))  # record mode
+    assert not tracer.open_spans()
+    cold = tracer.spans_named("cold_start")[0]
+    phases = [span.name for span in tracer.spans if span.parent is cold]
+    assert phases == ["artifact_ensure", "load_vmm", "prepare",
+                      "connection", "processing", "finalize"]
+    ensure = tracer.spans_named("artifact_ensure")[0]
+    assert (ensure.cat, ensure.status) == ("snapstore", "ok")
+    assert ensure.args == {"pinned": 2}  # record reads vmm + mem
+
+
+def test_interrupt_mid_promotion_closes_artifact_ensure(tracer):
+    env, orch = tiered_orchestrator(evicted=True)
+    victim = env.process(orch.invoke("toy"))
+
+    def interrupter():
+        yield env.timeout(1 * MS)  # the remote fetch is still running
+        victim.interrupt("teardown")
+
+    env.process(interrupter())
+    with pytest.raises(Interrupt):
+        env.run(until=victim)
+    assert not tracer.open_spans()
+    ensure = tracer.spans_named("artifact_ensure")
+    assert [span.status for span in ensure] == ["error"]
+    assert tracer.spans_named("promote")[0].status == "error"
+    assert not tracer.spans_named("load_vmm")
 
 
 def test_warm_invocation_records_warm_span(tracer):

@@ -12,7 +12,7 @@ from repro.memory.working_set import reuse_between
 from repro.orchestrator.orchestrator import Orchestrator
 from repro.policies import POLICIES
 from repro.sim.engine import Environment
-from repro.sim.units import MIB, PAGE_SIZE
+from repro.sim.units import MIB, PAGE_SIZE, SEC
 from repro.snapstore.chunks import (
     ZERO_PAGE_DIGEST,
     ChunkIndex,
@@ -48,6 +48,12 @@ def make_orchestrator(params=None, seed=7):
 
 def deploy(env, orch, profile):
     env.run(until=env.process(orch.deploy(profile)))
+
+
+def tier_kinds(orch, name="toy"):
+    """Artifact kinds of ``name`` registered in the orchestrator's tier."""
+    return {entry.kind
+            for entry in orch.snapshot_store.cache.entries_for(name)}
 
 
 # -- chunk index ----------------------------------------------------------
@@ -304,14 +310,14 @@ def test_tiered_store_registers_snapshot_and_reap_artifacts():
     env, orch = make_orchestrator(TierParameters(
         local_capacity_bytes=64 * MIB))
     deploy(env, orch, toy())
-    kinds = {entry.kind for entry in orch.snapstore.cache.entries_for("toy")}
+    kinds = tier_kinds(orch)
     assert kinds == {"vmm", "mem"}
     env.run(until=env.process(orch.invoke("toy")))  # record
-    kinds = {entry.kind for entry in orch.snapstore.cache.entries_for("toy")}
+    kinds = tier_kinds(orch)
     assert kinds == {"vmm", "mem", "ws", "trace"}
     # Refresh invalidates the recording and swaps the snapshot files.
     env.run(until=env.process(orch.refresh_snapshot("toy")))
-    kinds = {entry.kind for entry in orch.snapstore.cache.entries_for("toy")}
+    kinds = tier_kinds(orch)
     assert kinds == {"vmm", "mem"}
 
 
@@ -332,7 +338,7 @@ def test_evicted_restore_pays_the_remote_path():
         ref.invoke("a", mode="vanilla")))
     # The evicted restore promoted from the remote service and was
     # slower than the all-local reference by the promote time.
-    assert orch.snapstore.stats.promotions >= 1
+    assert orch.snapshot_store.cache.stats.promotions >= 1
     promote_us = remote.breakdown.extra["snapstore_promote_us"]
     assert promote_us > 0.0
     assert remote.latency_ms > local.latency_ms
@@ -345,7 +351,7 @@ def test_unbounded_tier_never_touches_remote():
     deploy(env, orch, toy())
     env.run(until=env.process(orch.invoke("toy")))
     env.run(until=env.process(orch.invoke("toy")))
-    stats = orch.snapstore.stats
+    stats = orch.snapshot_store.cache.stats
     assert stats.promotions == 0
     assert stats.evictions == 0
     assert stats.remote_misses == 0
@@ -379,19 +385,19 @@ def test_reap_restore_leaves_memory_file_remote(mode):
     env.run(until=env.process(orch.invoke("toy")))  # record
     snapshot = orch.snapshot_store.get("toy")
     demoted = {}
-    for entry in orch.snapstore.cache.entries_for("toy"):
-        orch.snapstore.cache._demote(entry)
+    for entry in orch.snapshot_store.cache.entries_for("toy"):
+        orch.snapshot_store.cache._demote(entry)
         demoted[entry.file.name] = entry.kind
     result = env.run(until=env.process(orch.invoke("toy", mode=mode)))
     assert result.mode == mode
     # A forced record registers fresh trace/WS files; only the demoted
     # ones tell what the restore promoted.
     local = {demoted[entry.file.name]
-             for entry in orch.snapstore.cache.entries_for("toy")
+             for entry in orch.snapshot_store.cache.entries_for("toy")
              if entry.local and entry.file.name in demoted}
     assert local == PROMOTED_KINDS[mode]
     if "mem" not in local:
-        assert snapshot.memory_file.device is orch.snapstore.remote
+        assert snapshot.memory_file.device is orch.snapshot_store.remote
 
 
 def test_fallback_to_vanilla_releases_tiered_artifacts():
@@ -400,7 +406,7 @@ def test_fallback_to_vanilla_releases_tiered_artifacts():
     deploy(env, orch, toy())
     env.run(until=env.process(orch.invoke("toy")))  # record
     assert any(entry.kind == "ws"
-               for entry in orch.snapstore.cache.entries_for("toy"))
+               for entry in orch.snapshot_store.cache.entries_for("toy"))
     state = orch.reap.state_for("toy")
     state.re_records = orch.reap.params.max_re_records
     state.mispredict_streak = orch.reap.params.mispredict_streak_limit
@@ -413,7 +419,7 @@ def test_fallback_to_vanilla_releases_tiered_artifacts():
     orch.reap.complete("toy", policy)
     assert state.fallback_to_vanilla
     # The dead recording no longer occupies the tiers.
-    kinds = {entry.kind for entry in orch.snapstore.cache.entries_for("toy")}
+    kinds = tier_kinds(orch)
     assert kinds == {"vmm", "mem"}
 
 
@@ -424,3 +430,121 @@ def test_locality_bytes_without_tier_counts_all_artifacts():
     assert orch.snapshot_store.locality_bytes("toy") == (
         snapshot.vmm_file.size + snapshot.memory_file.size)
     assert orch.snapshot_store.locality_bytes("missing") == 0
+
+
+# -- one store per worker: untiered vs tiered placement -------------------
+
+ALL_KINDS = ("vmm", "mem", "trace", "ws")
+
+#: Tier and chaos counters of the tiered lifecycle below (a 6 MiB tier,
+#: so restores promote, evict and bypass), pinned from the tiered store
+#: as it was before it became a :class:`SnapshotStore` subclass.
+LIFECYCLE_HOME_TIER = {
+    "registered": 8, "released": 6, "evictions": 4,
+    "demoted_bytes": 13238272, "promotions": 2, "promoted_bytes": 5242880,
+    "local_hits": 15, "remote_misses": 7, "bypassed": 5, "coalesced": 0,
+    "promote_timeouts": 0, "unreachable": 0}
+LIFECYCLE_SURVIVOR_TIER = {
+    "registered": 2, "released": 0, "evictions": 2,
+    "demoted_bytes": 6619136, "promotions": 1, "promoted_bytes": 2621440,
+    "local_hits": 0, "remote_misses": 2, "bypassed": 1, "coalesced": 0,
+    "promote_timeouts": 0, "unreachable": 0}
+LIFECYCLE_CHAOS = {
+    "crashes": 1, "joins": 0, "outages": 0, "latency_spikes": 0,
+    "aborted_inflight": 0, "lost_local_bytes": 2621440, "rereplicated": 1,
+    "rereplication_failures": 0}
+
+
+def unstable(name="toy"):
+    """A function whose recordings mispredict: re-record, then fallback."""
+    return FunctionProfile(
+        name=name, description="working set never repeats",
+        vm_memory_mb=32, boot_footprint_mb=4.0, warm_ms=2.0,
+        connection_pages=30, processing_pages=100, unique_pages=10,
+        contiguity_mean=2.2, record_divergence=0.9)
+
+
+@pytest.mark.parametrize("tiered", [False, True],
+                         ids=["untiered", "tiered"])
+def test_store_placement_through_record_fallback_refresh_and_crash(tiered):
+    from repro.chaos import (
+        ChaosController,
+        FaultPlan,
+        RetryPolicy,
+        WorkerCrash,
+    )
+    from repro.core.manager import ReapParameters
+    from repro.orchestrator.cluster import Cluster, _affinity_digest
+
+    params = TierParameters(local_capacity_bytes=6 * MIB) if tiered \
+        else None
+    env = Environment()
+    with Cluster(env, n_workers=2, seed=11, snapstore_params=params,
+                 reap_params=ReapParameters(
+                     mispredict_threshold=0.3, mispredict_streak_limit=2,
+                     max_re_records=1)) as cluster:
+        assert cluster.retry.max_retries == 0
+        env.run(until=env.process(cluster.deploy(unstable())))
+        home = min(cluster.workers,
+                   key=lambda worker: _affinity_digest("toy", worker))
+        survivor = cluster.workers[1 - home.index]
+        orch = home.orchestrator
+        store = orch.snapshot_store
+        assert isinstance(store, TieredSnapshotStore) == tiered
+
+        # Record, mispredict into a re-record, then fall back to vanilla.
+        modes = [env.run(until=env.process(orch.invoke("toy"))).mode
+                 for _ in range(8)]
+        assert modes[0] == modes[3] == "record"
+        assert modes[-1] == "vanilla"
+        assert orch.reap.state_for("toy").fallback_to_vanilla
+        env.run(until=env.process(orch.refresh_snapshot("toy")))
+        snapshot = store.get("toy")
+
+        if tiered:
+            def restore_pins():
+                pins = yield from store.ensure_for_restore(
+                    "toy", ALL_KINDS, LatencyBreakdown())
+                store.unpin(pins)
+                return pins
+
+            pins = env.run(until=env.process(restore_pins()))
+            # The fallback and the refresh left only the new snapshot.
+            assert {entry.kind for entry in pins} == {"vmm", "mem"}
+            assert store.locality_bytes("toy") == \
+                store.cache.local_bytes("toy")
+        else:
+            # All local: no pins, no sim time, nothing queued or yielded.
+            queued = (len(env._heap), len(env._immediate))
+            started = env.now
+            with pytest.raises(StopIteration) as stop:
+                next(store.ensure_for_restore("toy", ALL_KINDS,
+                                              LatencyBreakdown()))
+            pins = stop.value.value
+            store.unpin(pins)
+            assert pins == []
+            assert env.now <= started  # sim time did not advance
+            assert (len(env._heap), len(env._immediate)) == queued
+            assert store.locality_bytes("toy") == (
+                snapshot.vmm_file.size + snapshot.memory_file.size)
+            assert store.lose_local() == 0
+
+        plan = FaultPlan(events=(WorkerCrash(at_s=env.now / SEC + 0.01,
+                                             worker=home.index),),
+                         retry=RetryPolicy(max_retries=3))
+        chaos = ChaosController(cluster, plan)
+        assert cluster.retry is plan.retry
+        env.run(until=env.timeout(1.0 * SEC))
+        env.run(until=env.process(chaos.drain()))
+    assert chaos.stats.crashes == 1
+    pulls = [proc.name for proc in chaos._background]
+    if tiered:
+        assert pulls == ["rereplicate:toy"]
+        assert store.cache.stats.to_dict() == LIFECYCLE_HOME_TIER
+        assert (survivor.orchestrator.snapshot_store.cache.stats.to_dict()
+                == LIFECYCLE_SURVIVOR_TIER)
+        assert chaos.stats.to_dict() == LIFECYCLE_CHAOS
+    else:
+        assert pulls == []
+        assert chaos.stats.lost_local_bytes == 0
+        assert chaos.stats.rereplicated == 0
