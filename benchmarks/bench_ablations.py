@@ -1,4 +1,4 @@
-"""Ablations of the modelled design choices (DESIGN.md §4)."""
+"""Ablations of the modelled design choices (see docs/experiments.md)."""
 
 from conftest import run_once
 

@@ -10,10 +10,6 @@ Subcommands::
                               (see docs/observability.md)
     trace generate FILE       synthesize an invocation trace to a file
     trace inspect FILE        summarize a trace file's shape
-    perf                      measure simulator speed on fixed cells
-                              (writes BENCH_perf.json; see
-                              docs/performance.md); ``--profile`` adds
-                              the engine hotspot table
     lint [ARGS...]            run the determinism linter (alias of
                               ``python -m repro.lint``; see
                               docs/static-analysis.md)
@@ -55,7 +51,6 @@ from repro.bench.cache import ResultCache
 from repro.bench.experiments import ALIASES, EXPERIMENTS, resolve
 from repro.bench.runner import Runner
 from repro.obs import metrics as obs_metrics
-from repro.obs import profiler as obs_profiler
 from repro.obs import tracer as obs_tracer
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -142,34 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "emits the per-function rows for external "
                               "tooling")
 
-    perf = commands.add_parser(
-        "perf", help="measure simulator speed (events/sec) on fixed cells")
-    perf.add_argument("--cells", default=None, metavar="A,B,...",
-                      help="comma-separated perf cell ids (default: all; "
-                           "see --list)")
-    perf.add_argument("--list", action="store_true", dest="list_cells",
-                      help="list perf cell ids and exit")
-    perf.add_argument("--output", default=None, metavar="FILE",
-                      help="report file to write (default: "
-                           "BENCH_perf.json)")
-    perf.add_argument("--repeat", type=int, default=1, metavar="N",
-                      help="run each cell N times, keep the fastest "
-                           "(default: 1)")
-    perf.add_argument("--compare", default=None, metavar="PREV",
-                      help="previous BENCH_perf.json to compare against")
-    perf.add_argument("--against", default=None, metavar="CURR",
-                      help="with --compare: compare PREV to CURR without "
-                           "running anything")
-    perf.add_argument("--fail-below", type=float, default=None,
-                      metavar="RATIO", dest="fail_below",
-                      help="exit 3 if any cell's speedup falls below "
-                           "RATIO (needs --compare)")
-    perf.add_argument("--profile", action="store_true",
-                      help="profile the engine dispatch loop and print "
-                           "the hotspot table; the timing report is NOT "
-                           "written unless --output is given (profiled "
-                           "runs are slower and would poison baselines)")
-
     # "lint" is dispatched in main() before parsing (its flags belong to
     # repro.lint's own parser); registered here so it shows in --help.
     commands.add_parser(
@@ -236,71 +203,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print()
             print(format_table(summary["per_function"]))
     return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench import perf
-
-    if args.list_cells:
-        width = max(len(cell_id) for cell_id in perf.PERF_CELLS)
-        for cell_id, spec in perf.PERF_CELLS.items():
-            print(f"{cell_id.ljust(width)}  {spec.note}")
-        return 0
-
-    def _compare(old_report: dict, new_report: dict) -> int:
-        rows = perf.compare_reports(old_report, new_report)
-        print(perf.format_comparison(rows))
-        if args.fail_below is not None:
-            slow = [row for row in rows
-                    if row["speedup"] is not None
-                    and row["speedup"] < args.fail_below]
-            if slow:
-                names = ", ".join(row["cell"] for row in slow)
-                print(f"error: speedup below {args.fail_below} for: "
-                      f"{names}", file=sys.stderr)
-                return 3
-        return 0
-
-    try:
-        if args.against is not None:
-            if args.compare is None:
-                print("error: --against requires --compare",
-                      file=sys.stderr)
-                return 2
-            return _compare(perf.load_report(args.compare),
-                            perf.load_report(args.against))
-        cell_ids = None if args.cells is None else \
-            [cell_id.strip() for cell_id in args.cells.split(",")
-             if cell_id.strip()]
-        profiler = obs_profiler.install() if args.profile else None
-        try:
-            report = perf.run_suite(
-                cell_ids, repeat=args.repeat,
-                progress=lambda spec: print(f"running {spec.id} "
-                                            f"({spec.experiment}/"
-                                            f"{spec.label}) ...",
-                                            file=sys.stderr))
-        finally:
-            if profiler is not None:
-                obs_profiler.uninstall()
-        if profiler is None or args.output is not None:
-            # Profiled timings are not comparable to unprofiled
-            # baselines; only persist them on explicit request.
-            output = args.output or perf.DEFAULT_OUTPUT
-            perf.save_report(report, output)
-            print(f"wrote {output}", file=sys.stderr)
-        for cell_id, record in report["cells"].items():
-            print(f"{cell_id:<20} {record['events_per_sec']:>12,.0f} ev/s"
-                  f"  {record['wall_s']:.2f}s  {record['events']:,} events")
-        if profiler is not None:
-            print()
-            print(profiler.format_table())
-        if args.compare is not None:
-            return _compare(perf.load_report(args.compare), report)
-        return 0
-    except (KeyError, OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
 
 
 def _cmd_clean_cache(args: argparse.Namespace) -> int:
@@ -405,8 +307,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list()
         if args.command == "trace":
             return _cmd_trace(args)
-        if args.command == "perf":
-            return _cmd_perf(args)
         if args.command == "clean-cache":
             return _cmd_clean_cache(args)
         if args.command == "metrics":

@@ -45,6 +45,12 @@ def canonicalize(payload: Any) -> Any:
     return json.loads(json.dumps(payload))
 
 
+def payload_digest(payload: Any) -> str:
+    """Short stable digest of a canonicalized cell payload."""
+    encoded = json.dumps(canonicalize(payload), sort_keys=True)
+    return hashlib.sha256(encoded.encode()).hexdigest()[:16]
+
+
 @functools.lru_cache(maxsize=1)
 def code_version() -> str:
     """Digest of every ``.py`` file in the installed ``repro`` package.

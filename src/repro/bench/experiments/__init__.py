@@ -1,4 +1,4 @@
-"""Experiment registry: one entry per paper table/figure (DESIGN.md §4).
+"""Experiment registry: one entry per paper table/figure (docs/experiments.md).
 
 Every entry is an :class:`~repro.bench.experiments.spec.Experiment`
 instance exposing the declarative ``cells() -> run_cell() -> assemble()``

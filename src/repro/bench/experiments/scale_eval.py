@@ -384,7 +384,7 @@ class RemoteStorage(Experiment):
 
 
 class Ablations(Experiment):
-    """Design-choice ablations called out in DESIGN.md.
+    """Ablations of the model's own design choices (not a paper figure).
 
     * host readahead window off/on for the lazy baseline;
     * thin-pool queue depth for the parallel-PF design point;

@@ -61,8 +61,8 @@ def run_cell_checked(experiment: "Experiment", cell: Cell) -> dict[str, Any]:
     the cell and the end-of-run leak check (held grants, pinned tier
     entries, unserved faults) runs after it -- the reset makes each
     cell's accounting independent, matching the cells-share-no-state
-    contract.  All three execution paths (serial :meth:`Experiment.run`,
-    the parallel runner, the perf harness) funnel through here.
+    contract.  Both execution paths (serial :meth:`Experiment.run` and
+    the parallel runner) funnel through here.
 
     The observability layer hooks in here too: when a span tracer or a
     metrics registry is installed (they never are by default), the cell

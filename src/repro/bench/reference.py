@@ -4,7 +4,7 @@ Values come from the figures and text of the ASPLOS '21 paper.  The
 lr_training / video_processing bars are partially occluded in the
 figure text; the transcription below is the unique assignment consistent
 with the stated 1.04-9.7x speedup range, the 3.7x geometric mean, and
-the §6.3 discussion (see DESIGN.md §5).
+the §6.3 discussion (provenance beyond this note not yet written down).
 """
 
 from __future__ import annotations

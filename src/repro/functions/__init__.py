@@ -8,9 +8,8 @@ unique pages (Fig. 5), warm execution latency (Fig. 2) and input size.
 A :class:`FunctionBehavior` turns a profile into concrete, seeded
 working-set layouts and per-invocation access traces.
 
-The profile numbers are *calibrated to the baseline measurements of the
-paper* (cold-start bars of Fig. 2); everything REAP-related is then
-predicted by the simulator, not fitted -- see DESIGN.md §5.
+The profile numbers are *calibrated to the paper's own measurements*;
+:mod:`repro.functions.catalog` says which figure each one comes from.
 """
 
 from repro.functions.behavior import FunctionBehavior, WorkingSetLayout

@@ -21,7 +21,7 @@ Each profile's numbers were derived from the paper's own measurements:
 lr_training's working set is capped at the paper's own <=99 MB Fig.-4
 bound, and cnn_serving's Fig.-8 REAP bar is not mechanically reachable
 (237 ms leaves <10 ms for fetching a multi-ten-MB working set at
-850 MB/s); both deviations are quantified in EXPERIMENTS.md.
+850 MB/s); neither deviation is quantified in a document yet.
 """
 
 from __future__ import annotations

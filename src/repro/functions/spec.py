@@ -52,7 +52,7 @@ class FunctionProfile:
     #: Runtimes differ in how expensive a first touch is beyond the disk
     #: read (page-table depth, VMA count, allocator bookkeeping);
     #: calibrated per function to reconcile the baseline and REAP bars of
-    #: Fig. 2/8 (see DESIGN.md §5).
+    #: Fig. 2/8 (see the calibration notes in ``functions/catalog.py``).
     fault_cpu_us: float = 0.0
 
     #: Input fetched from the S3 service at invocation start, in MB.

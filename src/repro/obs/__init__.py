@@ -1,6 +1,6 @@
-"""Deterministic observability: spans, metrics, and an engine profiler.
+"""Deterministic observability: spans and metrics.
 
-Three opt-in instruments over the simulator, all off by default and all
+Two opt-in instruments over the simulator, all off by default and all
 guarded by one module-level ``ACTIVE`` flag apiece so the hot paths pay
 a single attribute load when disabled:
 
@@ -10,10 +10,7 @@ a single attribute load when disabled:
   Chrome ``trace_event`` JSON for Perfetto (``bench run --trace-out``);
 * :mod:`repro.obs.metrics` -- a Counter/Gauge/Histogram registry the
   existing ``*Stats`` classes register into, snapshotted per experiment
-  cell and rendered by ``bench metrics``;
-* :mod:`repro.obs.profiler` -- wall-time attribution of the engine's
-  dispatch loop by event class and process name (``REPRO_PROFILE=1`` or
-  ``bench perf --profile``).
+  cell and rendered by ``bench metrics``.
 
 The instruments observe but never steer: spans and metrics are keyed by
 simulated time and stable invocation ids only (no wall clock, no
@@ -22,6 +19,6 @@ payload -- ``tests/test_obs.py`` pins byte-identical digests with
 tracing on and off.  See ``docs/observability.md``.
 """
 
-from repro.obs import metrics, profiler, tracer
+from repro.obs import metrics, tracer
 
-__all__ = ["metrics", "profiler", "tracer"]
+__all__ = ["metrics", "tracer"]

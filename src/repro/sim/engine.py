@@ -34,8 +34,8 @@ overhead minimal:
 * :meth:`Environment.run` has exactly one pop/dispatch loop for all
   three ``until`` forms, with dispatch inlined rather than a per-event
   method call (see "Why dispatch is inlined" in
-  ``docs/performance.md``); the profiler is one local ``is None`` test
-  per event when off;
+  ``docs/performance.md``), with no optional hook adding a per-event
+  branch;
 * :meth:`Environment.timeout` builds the :class:`Timeout` in a single
   frame (no ``type.__call__``/``__init__`` double dispatch).
 
@@ -58,11 +58,11 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.obs import profiler as _profiler
 from repro.sim import sanitizer
 
-#: Process-wide count of events processed by every Environment, for the
-#: ``bench perf`` suite (simulated-events/sec).  Monotonic; never reset.
+#: Process-wide count of events processed by every Environment, so a
+#: caller can count the events of environments it never sees (an
+#: experiment's internal one, say).  Monotonic; never reset.
 _events_processed_total = 0
 
 _INF = float("inf")
@@ -485,8 +485,7 @@ class Environment:
         runs with an infinite deadline and stops right after the
         target's own dispatch: only dispatching an event marks it
         processed, so one identity test per event suffices and callbacks
-        added to the target while running still run.  With a profiler
-        installed, dispatch goes through :meth:`_dispatch_profiled`.
+        added to the target while running still run.
         """
         global _events_processed_total
         target = None
@@ -497,10 +496,6 @@ class Environment:
             deadline = -_INF if target._processed else _INF
         else:
             deadline = _INF if until is None else float(until)
-        profiler = _profiler.ACTIVE
-        if profiler is not None:
-            record = profiler.record
-            clock = _profiler.perf_counter
         heap = self._heap
         immediate = self._immediate
         count = 0
@@ -526,36 +521,33 @@ class Environment:
                 else:
                     break
                 count += 1
-                if profiler is not None:
-                    self._dispatch_profiled(item, record, clock)
-                elif type(item) is tuple:
+                if type(item) is tuple:
                     callback, event = item
                     if type(callback) is Process:
                         callback._resume(event)
                     else:
                         callback(event)
                     continue
-                else:
-                    item._processed = True
-                    callback = item._cb
-                    if callback is not None:
-                        item._cb = None
-                        if type(callback) is Process:
-                            callback._resume(item)
-                        else:
-                            callback(item)
-                        more = item._cbs
-                        if more:
-                            item._cbs = None
-                            for callback in more:
-                                if type(callback) is Process:
-                                    callback._resume(item)
-                                else:
-                                    callback(item)
-                    elif item._exception is not None and not item._defused:
-                        # A failure nobody waited for: surface it rather
-                        # than lose it.
-                        raise item._exception
+                item._processed = True
+                callback = item._cb
+                if callback is not None:
+                    item._cb = None
+                    if type(callback) is Process:
+                        callback._resume(item)
+                    else:
+                        callback(item)
+                    more = item._cbs
+                    if more:
+                        item._cbs = None
+                        for callback in more:
+                            if type(callback) is Process:
+                                callback._resume(item)
+                            else:
+                                callback(item)
+                elif item._exception is not None and not item._defused:
+                    # A failure nobody waited for: surface it rather
+                    # than lose it.
+                    raise item._exception
                 if item is target:
                     break
         finally:
@@ -573,56 +565,3 @@ class Environment:
         if target._exception is not None:
             raise target._exception
         return target._value
-
-    def _dispatch_profiled(self, item: Any, record, clock) -> None:
-        """Dispatch one queued item, attributing its wall time.
-
-        Attribution key: the event's class (``Timeout``, ``Process``,
-        ``call:Event`` for queued callback pairs, ``bootstrap`` for
-        process kick-offs) and the resumed process's name (the
-        callback's qualname when no process is involved).
-        """
-        if type(item) is tuple:
-            callback, event = item
-            is_process = type(callback) is Process
-            name = callback.name if is_process else getattr(
-                callback, "__qualname__", type(callback).__name__)
-            event_class = ("bootstrap" if type(event) is _Bootstrap
-                           else f"call:{type(event).__name__}")
-            started = clock()
-            if is_process:
-                callback._resume(event)
-            else:
-                callback(event)
-            record(event_class, name, clock() - started)
-            return
-        event_class = type(item).__name__
-        callback = item._cb
-        if type(callback) is Process:
-            name = callback.name
-        elif type(item) is Process:
-            name = item.name
-        elif callback is not None:
-            name = getattr(callback, "__qualname__",
-                           type(callback).__name__)
-        else:
-            name = "-"
-        started = clock()
-        item._processed = True
-        if callback is not None:
-            item._cb = None
-            if type(callback) is Process:
-                callback._resume(item)
-            else:
-                callback(item)
-            more = item._cbs
-            if more:
-                item._cbs = None
-                for callback in more:
-                    if type(callback) is Process:
-                        callback._resume(item)
-                    else:
-                        callback(item)
-        elif item._exception is not None and not item._defused:
-            raise item._exception
-        record(event_class, name, clock() - started)

@@ -23,9 +23,8 @@ this module samples the two properties that only exist at runtime:
   exception-path bug -- an Interrupt or model error escaped a
   ``try/finally`` somewhere (statically, a REPRO-R001 violation) -- and
   each silently skews any later cell sharing the objects.  The bench
-  cell boundary (``Experiment.run``, ``runner.execute_cell``,
-  ``perf.run_perf_cell``) resets the registry before a cell and asserts
-  emptiness after it.
+  cell boundary (``Experiment.run``, ``runner.execute_cell``) resets
+  the registry before a cell and asserts emptiness after it.
 
 Kept import-light on purpose (stdlib ``os``/``weakref`` only): the
 engine, resource, tier, and uffd constructors all call into this

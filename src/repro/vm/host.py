@@ -32,7 +32,11 @@ from repro.storage.thinpool import ThinPoolDevice, ThinPoolParameters
 
 @dataclass(frozen=True)
 class HostParameters:
-    """Calibrated host constants (see DESIGN.md §5 for provenance)."""
+    """Calibrated host constants.
+
+    Field comments name the paper section a constant models; where each
+    value comes from is provenance not yet written down.
+    """
 
     #: Logical cores (2x24-core SMT host in the paper).
     cores: int = 48

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.bench.cache import canonicalize
+from repro.bench.cache import canonicalize, payload_digest
 from repro.bench.experiments import EXPERIMENTS, resolve
 from repro.bench.experiments.spec import run_cell_checked
-from repro.bench.perf import payload_digest
 
 #: Where the pinned digests live (committed to the repo).
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"

@@ -117,6 +117,15 @@ def test_cli_experiment_without_subcommand_is_a_usage_error(capsys):
     assert "invalid choice: 'fig3'" in capsys.readouterr().err
 
 
+def test_cli_perf_subcommand_is_a_usage_error(capsys):
+    # Simulator speed is measured by ``python -m perfbench``; the bench
+    # CLI has no ``perf`` subcommand, so argparse rejects it (exit 2).
+    with pytest.raises(SystemExit) as excinfo:
+        main(["perf"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+
 # -- trace subcommand ------------------------------------------------------
 
 
@@ -189,93 +198,6 @@ def test_cli_trace_generate_unwritable_path_is_friendly(capsys, tmp_path):
     assert main(["trace", "generate",
                  str(tmp_path / "no-such-dir" / "t.jsonl")]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-# -- perf subcommand -------------------------------------------------------
-
-
-def test_cli_perf_list_cells(capsys):
-    assert main(["perf", "--list"]) == 0
-    out = capsys.readouterr().out
-    for cell_id in ("trace_scale", "tail_latency",
-                    "snapstore_tiering", "chunk_index"):
-        assert cell_id in out
-
-
-def test_cli_perf_smoke_writes_valid_report(capsys, tmp_path):
-    from repro.bench import perf
-
-    report_path = tmp_path / "perf.json"
-    assert main(["perf", "--cells", "chunk_index",
-                 "--output", str(report_path)]) == 0
-    captured = capsys.readouterr()
-    assert "chunk_index" in captured.out
-    assert "wrote" in captured.err
-    report = json.loads(report_path.read_text())
-    assert perf.validate_report(report) == []
-    record = report["cells"]["chunk_index"]
-    assert record["wall_s"] > 0
-    assert record["payload_digest"]
-
-
-def test_cli_perf_self_compare_is_noop_speedup(capsys, tmp_path):
-    report_path = tmp_path / "perf.json"
-    assert main(["perf", "--cells", "chunk_index",
-                 "--output", str(report_path)]) == 0
-    capsys.readouterr()
-    # Comparing a report to itself: ~1.0x, no drift, exit 0 even with a
-    # strict --fail-below floor.
-    assert main(["perf", "--compare", str(report_path),
-                 "--against", str(report_path),
-                 "--fail-below", "0.99"]) == 0
-    out = capsys.readouterr().out
-    assert "1.00x" in out
-    assert "RESULT DRIFT" not in out
-
-
-def test_cli_perf_fail_below_trips_exit_3(capsys, tmp_path):
-    from repro.bench import perf
-
-    report_path = tmp_path / "perf.json"
-    assert main(["perf", "--cells", "chunk_index",
-                 "--output", str(report_path)]) == 0
-    capsys.readouterr()
-    report = perf.load_report(str(report_path))
-    slower = json.loads(json.dumps(report))
-    cell = slower["cells"]["chunk_index"]
-    # Halve throughput (or double wall for event-free cells).
-    cell["events_per_sec"] = cell["events_per_sec"] / 2 or 0.0
-    cell["wall_s"] = cell["wall_s"] * 2
-    slow_path = tmp_path / "slower.json"
-    slow_path.write_text(json.dumps(slower))
-    assert main(["perf", "--compare", str(report_path),
-                 "--against", str(slow_path),
-                 "--fail-below", "0.9"]) == 3
-    assert "speedup below" in capsys.readouterr().err
-
-
-def test_cli_perf_unknown_cell_is_friendly(capsys):
-    assert main(["perf", "--cells", "nope"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown perf cell" in err
-    assert "trace_scale" in err
-
-
-def test_cli_perf_against_requires_compare(capsys, tmp_path):
-    assert main(["perf", "--against", str(tmp_path / "x.json")]) == 2
-    assert "--against requires --compare" in capsys.readouterr().err
-
-
-def test_cli_perf_rejects_invalid_report_schema(capsys, tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"schema_version": 99, "cells": {}}))
-    report_path = tmp_path / "perf.json"
-    assert main(["perf", "--cells", "chunk_index",
-                 "--output", str(report_path)]) == 0
-    capsys.readouterr()
-    assert main(["perf", "--compare", str(bogus),
-                 "--against", str(report_path)]) == 2
-    assert "schema_version" in capsys.readouterr().err
 
 
 def test_cli_lint_alias_forwards_to_linter(capsys, tmp_path):

@@ -1,6 +1,6 @@
-"""Observability layer: span tracer, metrics registry, engine profiler.
+"""Observability layer: span tracer and metrics registry.
 
-Covers the three instruments in :mod:`repro.obs` plus the contract that
+Covers the two instruments in :mod:`repro.obs` plus the contract that
 matters most: installing them must not change simulated results (cell
 payloads are byte-identical tracing on vs off), and every span opened
 during an invocation is closed exactly once -- including on the
@@ -17,7 +17,6 @@ from repro.bench.experiments.spec import run_cell_checked
 from repro.bench.harness import Testbed
 from repro.functions import FunctionProfile
 from repro.obs import metrics as obs_metrics
-from repro.obs import profiler as obs_profiler
 from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import SpanError, validate_chrome_trace
 from repro.orchestrator import Autoscaler, Cluster, Orchestrator
@@ -188,36 +187,6 @@ def test_registry_snapshots_per_cell(registry):
     assert registry.cells["cell/b"] == {"depth": 2.5}
     rows = registry.rows()
     assert {"cell": "cell/b", "metric": "depth", "value": 2.5} in rows
-
-
-# -- profiler -----------------------------------------------------------------
-
-
-def test_profiler_counts_every_dispatch_and_preserves_results():
-    def ticker(env, log):
-        for _ in range(5):
-            yield env.timeout(10.0)
-            log.append(env.now)
-
-    baseline = Environment()
-    log_plain = []
-    baseline.process(ticker(baseline, log_plain))
-    baseline.run(until=100.0)
-
-    profiler = obs_profiler.install()
-    try:
-        env = Environment()
-        log_profiled = []
-        env.process(ticker(env, log_profiled))
-        env.run(until=100.0)
-        assert log_profiled == log_plain
-        assert env.events_processed == baseline.events_processed
-        assert profiler.total_events == env.events_processed
-        rows = profiler.hotspot_rows()
-        assert rows and rows[0]["events"] >= 1
-        assert "engine profile" in profiler.format_table()
-    finally:
-        obs_profiler.uninstall()
 
 
 # -- invocation lifecycle spans ----------------------------------------------
@@ -495,18 +464,3 @@ def test_cli_metrics_subcommand(capsys):
     assert main(["metrics", "fig7", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "cell,metric,value"
-
-
-def test_cli_perf_profile_flag(tmp_path, monkeypatch, capsys):
-    from repro.bench.__main__ import main
-
-    monkeypatch.chdir(tmp_path)  # must not touch the repo's baseline
-    assert main(["perf", "--profile", "--cells", "chunk_index"]) == 0
-    captured = capsys.readouterr()
-    assert "ev/s" in captured.out
-    # chunk_index never enters the event loop; the report must say so
-    # rather than print an empty table, and no baseline file appears.
-    assert "(no events profiled)" in captured.out
-    assert "wrote" not in captured.err
-    assert not (tmp_path / "BENCH_perf.json").exists()
-    assert obs_profiler.ACTIVE is None

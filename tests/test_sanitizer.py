@@ -10,10 +10,9 @@ import json
 
 import pytest
 
-from repro.bench.cache import canonicalize
+from repro.bench.cache import canonicalize, payload_digest
 from repro.bench.experiments import Fig7DesignPoints
 from repro.bench.experiments.spec import Cell, Experiment, run_cell_checked
-from repro.bench.perf import payload_digest
 from repro.memory import BackingMode, ContentMode, GuestMemory, UserFaultFd
 from repro.sim import sanitizer
 from repro.sim.engine import Environment, Interrupt

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs import profiler as obs_profiler
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -538,15 +537,28 @@ def test_events_processed_counters_advance():
     assert after_total - before_total == env.events_processed
 
 
-# -- the single run() loop: all three ``until`` forms, profiler on and off --
+# -- the single run() loop: all three ``until`` forms, plain and wrapped --
 
 
 @pytest.fixture(params=[False, True], ids=["plain", "profiled"])
-def profiled(request):
+def profiled(request, monkeypatch):
+    """Run plain, or with ``Environment.run`` and ``Environment.process``
+    wrapped by call counters on the class, the way an outside profiler
+    (``perfbench``'s layer probes) wraps them.  The loop must behave the
+    same either way, and a wrapped run must reach the wrappers."""
+    calls = {"run": 0, "process": 0}
     if request.param:
-        obs_profiler.install()
+        for name in calls:
+            original = Environment.__dict__[name]
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(Environment, name, counting)
     yield request.param
-    obs_profiler.uninstall()
+    if request.param:
+        assert calls["run"] > 0 and calls["process"] > 0
 
 
 def _mixed_traffic_run(form):
@@ -564,7 +576,7 @@ def _mixed_traffic_run(form):
     slow = env.process(worker(7.0, "slow"))
     env.process(worker(3.0, "fast"))
     until = {"none": None, "time": 15.0, "event": slow}[form]
-    return env.run(until=until), env.now, env.events_processed
+    return env.run(until=until), env.now
 
 
 @pytest.mark.parametrize("form, expected", [
@@ -572,16 +584,8 @@ def _mixed_traffic_run(form):
     ("time", (None, 15.0)),
     ("event", ("slow", 28.0)),
 ])
-def test_run_forms_identical_with_and_without_profiler(form, expected):
-    plain = _mixed_traffic_run(form)
-    profiler = obs_profiler.install()
-    try:
-        profiled_run = _mixed_traffic_run(form)
-    finally:
-        obs_profiler.uninstall()
-    assert profiled_run == plain
-    assert plain[:2] == expected
-    assert profiler.total_events == plain[2]
+def test_run_forms(form, expected):
+    assert _mixed_traffic_run(form) == expected
 
 
 def test_run_until_processed_event_returns_immediately(profiled):
