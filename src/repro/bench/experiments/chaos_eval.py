@@ -15,28 +15,26 @@ name and duration), the only time source is the simulated clock, and
 every response -- cordon, failover re-route, backoff, re-replication,
 promote-timeout bypass, degrade-to-vanilla -- is deterministic, so these
 cells shard and cache byte-identically like every other experiment.
+The replay itself follows the shared trace-replay cell method of
+:mod:`repro.bench.experiments.replay` (docs/experiments.md,
+"Trace-replay cells").
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.analysis.aggregate import collect, percentile
+from repro.analysis.aggregate import collect
+from repro.bench.experiments import replay
+from repro.bench.experiments.replay import SCHEMES
 from repro.bench.experiments.spec import Cell, Experiment
 from repro.bench.harness import ExperimentResult
 from repro.chaos import ChaosController, SCENARIOS, scenario_plan
-from repro.functions import get_profile
-from repro.functions.catalog import recommended_keepalive_s
-from repro.orchestrator.autoscaler import AutoscalerParameters
 from repro.orchestrator.cluster import Cluster
 from repro.orchestrator.loadgen import SchemeInvoker, TraceReplayer
-from repro.orchestrator.trace import TraceSpec, synthesize
 from repro.sim.engine import Environment
 from repro.sim.units import MIB
 from repro.snapstore.tier import TierParameters
-
-#: Restore schemes under comparison (as in the trace experiments).
-SCHEMES = ("vanilla", "reap")
 
 #: Promotion deadline for scorecard cells: long enough that healthy
 #: promotes never hit it, short enough that stall-mode outages and
@@ -75,70 +73,39 @@ class SloScorecard(Experiment):
         seed = cell.params["seed"]
         duration_s = cell.params["duration_s"]
         n_workers = cell.params["n_workers"]
-        functions = tuple(cell.params["functions"])
-        trace = synthesize(TraceSpec(
-            functions=functions, rate_class="azure",
-            duration_s=duration_s), seed=seed)
+        trace = replay.cell_trace(cell.params, "azure", seed)
         plan = scenario_plan(scenario, duration_s, n_workers=n_workers)
         env = Environment()
         with Cluster(
                 env, n_workers=n_workers, seed=seed,
-                autoscaler_params=AutoscalerParameters(
-                    keepalive_s=recommended_keepalive_s("azure"),
-                    scan_period_s=15.0),
+                autoscaler_params=replay.autoscaler_params("azure"),
                 snapstore_params=TierParameters(
                     local_capacity_bytes=cell.params["capacity_mb"] * MIB,
                     eviction="ws_aware",
                     promote_timeout_us=PROMOTE_TIMEOUT_US)) as cluster:
-            for name in functions:
-                process = env.process(cluster.deploy(get_profile(name)))
-                env.run(until=process)
-            if scheme == "reap":
-                # One record per function per worker before the measured
-                # replay (Fig. 8 methodology; see TraceReplayEval).
-                for worker in cluster.workers:
-                    for name in functions:
-                        process = env.process(
-                            worker.orchestrator.invoke(name))
-                        env.run(until=process)
+            replay.deploy(cluster, cell.params["functions"],
+                          record=scheme == "reap")
             # The controller is attached for the baseline scenario too
             # (its plan is empty): every cell routes through the same
             # resilient invoke path, so the scenarios differ only in the
             # injected faults.
             chaos = ChaosController(cluster, plan)
-            replayer = TraceReplayer(env, SchemeInvoker(cluster, scheme),
-                                     trace)
-            process = env.process(replayer.run())
-            stats = env.run(until=process)
+            stats = env.run(until=env.process(TraceReplayer(
+                env, SchemeInvoker(cluster, scheme), trace).run()))
             # Background re-replication pulls must finish inside the
             # cell (the sanitizer checks for in-flight transfers).
             env.run(until=env.process(chaos.drain()))
             route = cluster.balancer.stats
         issued = len(trace)
-        latencies: list[float] = []
-        cold = 0
-        shed = 0
-        for function_stats in stats.values():
-            latencies.extend(function_stats.latencies())
-            cold += sum(1 for sample in function_stats.samples
-                        if sample.mode != "warm")
-            shed += function_stats.shed
-        latencies.sort()
-        completed = len(latencies)
-        availability = completed / issued if issued else 1.0
-        if latencies:
-            cold_fraction = cold / completed
-            p50 = percentile(latencies, 0.50)
-            p99 = percentile(latencies, 0.99)
-            p999 = percentile(latencies, 0.999)
-        else:
-            cold_fraction = p50 = p99 = p999 = 0.0
+        pooled = replay.pooled(stats.values())
+        shed = sum(function_stats.shed for function_stats in stats.values())
+        availability = pooled["invocations"] / issued if issued else 1.0
         return {
             "availability": availability,
             "shed": shed,
             "retries": route.retries,
-            "p99_ms": p99,
-            "p999_ms": p999,
+            "p99_ms": pooled["p99_ms"],
+            "p999_ms": pooled["p999_ms"],
             "chaos": chaos.stats.to_dict(),
             "row": {
                 "scenario": scenario,
@@ -149,10 +116,10 @@ class SloScorecard(Experiment):
                 "retries": route.retries,
                 "crashes": chaos.stats.crashes,
                 "rereplicated": chaos.stats.rereplicated,
-                "cold_fraction": f"{cold_fraction:.0%}",
-                "p50_ms": round(p50, 1),
-                "p99_ms": round(p99, 1),
-                "p99.9_ms": round(p999, 1),
+                "cold_fraction": f"{pooled['cold_fraction']:.0%}",
+                "p50_ms": round(pooled["p50_ms"], 1),
+                "p99_ms": round(pooled["p99_ms"], 1),
+                "p99.9_ms": round(pooled["p999_ms"], 1),
             },
         }
 

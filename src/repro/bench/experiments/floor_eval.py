@@ -15,7 +15,9 @@ keep-alive window, and the same ``memory_budget_mb`` cell param (the
 budget is enforced on the only scheme that adds speculative instances,
 prewarm; every other scheme's warm pool is governed by the identical
 keep-alive).  The warm-floor cell deliberately breaks the budget -- it
-is the asymptote, not a contestant.
+is the asymptote, not a contestant.  Contestant cells follow the shared
+trace-replay cell method of :mod:`repro.bench.experiments.replay`
+(docs/experiments.md, "Trace-replay cells").
 
 Like every experiment in the spec, cells are pure functions of their
 params, so serial, ``--jobs N``, and warm-cache runs are byte-identical
@@ -24,20 +26,15 @@ params, so serial, ``--jobs N``, and warm-cache runs are byte-identical
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
-from repro.analysis.aggregate import collect, percentile
+from repro.analysis.aggregate import collect
+from repro.bench.experiments import replay
 from repro.bench.experiments.spec import Cell, Experiment
 from repro.bench.harness import ExperimentResult, Testbed
-from repro.functions import get_profile
-from repro.functions.catalog import recommended_keepalive_s
-from repro.orchestrator.autoscaler import Autoscaler, AutoscalerParameters
-from repro.orchestrator.loadgen import (
-    LoadStats,
-    SchemeInvoker,
-    TraceReplayer,
-)
-from repro.orchestrator.trace import TraceSpec, synthesize
+from repro.orchestrator.autoscaler import Autoscaler
+from repro.orchestrator.loadgen import SchemeInvoker, TraceReplayer
 from repro.policies import SCHEMES as POLICY_SCHEMES
 from repro.policies import PolicyLayerParameters
 from repro.sim.units import MS
@@ -55,21 +52,6 @@ WARM_FLOOR = "warmfloor"
 
 #: Light catalog subset: hundreds of arrivals per cell stay affordable.
 FUNCTIONS = ("helloworld", "pyaes", "json_serdes")
-
-
-def _pooled(stats: dict[str, LoadStats]) -> dict[str, Any]:
-    """Population-level latency summary across functions."""
-    latencies = sorted(latency for function_stats in stats.values()
-                       for latency in function_stats.latencies())
-    samples = [sample for function_stats in stats.values()
-               for sample in function_stats.samples]
-    cold = sum(1 for sample in samples if sample.mode != "warm")
-    return {
-        "invocations": len(samples),
-        "cold_fraction": cold / len(samples),
-        "p50_ms": percentile(latencies, 0.50),
-        "p99_ms": percentile(latencies, 0.99),
-    }
 
 
 class FloorStudy(Experiment):
@@ -94,17 +76,18 @@ class FloorStudy(Experiment):
         scheme = cell.params["scheme"]
         seed = cell.params["seed"]
         duration_s = cell.params["duration_s"]
-        functions = tuple(cell.params["functions"])
-        budget_mb = cell.params["memory_budget_mb"]
-        trace = synthesize(TraceSpec(
-            functions=functions, rate_class=mix,
-            duration_s=duration_s), seed=seed)
+        functions = cell.params["functions"]
+        trace = replay.cell_trace(cell.params, mix, seed)
         policy_params = PolicyLayerParameters(
             scheme="reap" if scheme == WARM_FLOOR else scheme,
-            memory_budget_mb=budget_mb)
+            memory_budget_mb=cell.params["memory_budget_mb"])
         testbed = Testbed(seed=seed, policy_params=policy_params)
-        for name in functions:
-            testbed.deploy(get_profile(name))
+        # Every layered scheme rides on REAP artifacts.
+        invoke_scheme = ("vanilla" if scheme in ("vanilla", WARM_FLOOR)
+                         else "reap")
+        replay.deploy(testbed.orchestrator, functions,
+                      record=invoke_scheme == "reap")
+        scaling = replay.autoscaler_params(mix)
         if scheme == WARM_FLOOR:
             # The asymptote: a pre-populated pool that never evicts.
             # Two instances per function ride out arrival overlap; the
@@ -113,20 +96,8 @@ class FloorStudy(Experiment):
                 for _ in range(2):
                     testbed.invoke(name, mode="vanilla", use_warm=False,
                                    keep_warm=True)
-            keepalive_s = duration_s * 10.0
-            invoke_scheme = "vanilla"
-        else:
-            if scheme != "vanilla":
-                # One record per function before the replay (Fig. 8
-                # methodology; the cost is the record_overhead
-                # experiment).  Every layered scheme rides on REAP
-                # artifacts.
-                for name in functions:
-                    testbed.invoke(name)
-            keepalive_s = recommended_keepalive_s(mix)
-            invoke_scheme = "vanilla" if scheme == "vanilla" else "reap"
-        scaler = Autoscaler(testbed.orchestrator, AutoscalerParameters(
-            keepalive_s=keepalive_s, scan_period_s=15.0))
+            scaling = replace(scaling, keepalive_s=duration_s * 10.0)
+        scaler = Autoscaler(testbed.orchestrator, scaling)
         replayer = TraceReplayer(testbed.env,
                                  SchemeInvoker(scaler, invoke_scheme),
                                  trace)
@@ -143,7 +114,7 @@ class FloorStudy(Experiment):
 
         stats = testbed.run(drive())
         scaler.stop()
-        pooled = _pooled(stats)
+        pooled = replay.pooled(stats.values())
         extras: dict[str, int] = {}
         if layer.residency is not None:
             extras["shared_hits"] = layer.residency.shared_hits

@@ -24,7 +24,9 @@ Two experiments exercise the :mod:`repro.snapstore` subsystem:
   cold fractions, promote traffic, and latency tails.  Shrinking the
   local tier degrades p99 monotonically -- evicted artifacts pay the
   remote path on restore -- and snapshot-locality-aware routing beats
-  blind spreading at equal capacity.
+  blind spreading at equal capacity.  Each replay follows the shared
+  trace-replay cell method of :mod:`repro.bench.experiments.replay`
+  (docs/experiments.md, "Trace-replay cells").
 
 Every cell is a pure function of its params, so both experiments shard
 and cache through :mod:`repro.bench.runner` byte-identically.
@@ -35,11 +37,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis.aggregate import collect
+from repro.bench.experiments import replay
+from repro.bench.experiments.replay import SCHEMES
 from repro.bench.experiments.spec import Cell, Experiment
 from repro.bench.harness import ExperimentResult
 from repro.functions import get_profile
 from repro.functions.behavior import FunctionBehavior
-from repro.functions.catalog import catalog_names, recommended_keepalive_s
+from repro.functions.catalog import catalog_names
 from repro.sim.rng import derive_seed
 from repro.sim.units import MIB
 from repro.snapstore.chunks import (
@@ -48,9 +52,6 @@ from repro.snapstore.chunks import (
     snapshot_page_digest,
 )
 from repro.snapstore.tier import TierParameters
-
-#: Restore schemes under comparison (as in the trace experiments).
-SCHEMES = ("vanilla", "reap")
 
 #: The Fig. 5 identity threshold the paper reports for 7 of 10 functions.
 IDENTITY_THRESHOLD = 0.97
@@ -221,11 +222,8 @@ class SnapstoreTiering(Experiment):
         return cells
 
     def run_cell(self, cell: Cell) -> dict[str, Any]:
-        from repro.analysis.aggregate import percentile
-        from repro.orchestrator.autoscaler import AutoscalerParameters
         from repro.orchestrator.cluster import Cluster
         from repro.orchestrator.loadgen import SchemeInvoker, TraceReplayer
-        from repro.orchestrator.trace import TraceSpec, synthesize
         from repro.sim.engine import Environment
 
         scheme = cell.params["scheme"]
@@ -233,86 +231,58 @@ class SnapstoreTiering(Experiment):
         locality = cell.params["locality"]
         capacity_mb = cell.params["capacity_mb"]
         policy = cell.params["policy"]
-        functions = tuple(cell.params["functions"])
         # Several independent replays pool their samples: tail
         # percentiles then reflect how *often* restores pay the remote
         # path rather than one replay's single worst queueing accident.
-        latencies: list[float] = []
-        cold = 0
+        function_stats = []
         tier_totals = {"promotions": 0, "evictions": 0, "local_hits": 0,
                        "remote_misses": 0, "promoted_bytes": 0}
         locality_routed = 0
         for repetition in range(cell.params["repetitions"]):
             rep_seed = derive_seed(seed, "rep", repetition)
-            trace = synthesize(TraceSpec(
-                functions=functions, rate_class="azure",
-                duration_s=cell.params["duration_s"]), seed=rep_seed)
+            trace = replay.cell_trace(cell.params, "azure", rep_seed)
             if not len(trace):
                 # A duration short enough to synthesize no arrivals
-                # contributes no samples (guarded below).
+                # contributes no samples.
                 continue
             env = Environment()
             with Cluster(
                     env, n_workers=2, seed=rep_seed,
-                    autoscaler_params=AutoscalerParameters(
-                        keepalive_s=recommended_keepalive_s("azure"),
-                        scan_period_s=15.0),
+                    autoscaler_params=replay.autoscaler_params("azure"),
                     snapstore_params=TierParameters(
                         local_capacity_bytes=capacity_mb * MIB,
                         eviction=policy),
                     locality_aware=locality) as cluster:
-                for name in functions:
-                    process = env.process(
-                        cluster.deploy(get_profile(name)))
-                    env.run(until=process)
-                if scheme == "reap":
-                    # One record per function per worker before the
-                    # measured replay (Fig. 8 methodology; see
-                    # TraceReplayEval).
-                    for worker in cluster.workers:
-                        for name in functions:
-                            process = env.process(
-                                worker.orchestrator.invoke(name))
-                            env.run(until=process)
-                replayer = TraceReplayer(
-                    env, SchemeInvoker(cluster, scheme), trace)
-                process = env.process(replayer.run())
-                stats = env.run(until=process)
-            for function_stats in stats.values():
-                latencies.extend(function_stats.latencies())
-                cold += sum(1 for sample in function_stats.samples
-                            if sample.mode != "warm")
+                replay.deploy(cluster, cell.params["functions"],
+                              record=scheme == "reap")
+                stats = env.run(until=env.process(TraceReplayer(
+                    env, SchemeInvoker(cluster, scheme), trace).run()))
+            function_stats.extend(stats.values())
             for worker in cluster.workers:
                 store = worker.orchestrator.snapshot_store
                 counters = store.cache.stats.to_dict()
                 for key in tier_totals:
                     tier_totals[key] += counters[key]
             locality_routed += cluster.balancer.stats.locality_routed
-        latencies.sort()
-        if latencies:
-            cold_fraction = cold / len(latencies)
-            p50 = percentile(latencies, 0.50)
-            p99 = percentile(latencies, 0.99)
-        else:
-            cold_fraction = p50 = p99 = 0.0
+        pooled = replay.pooled(function_stats)
         return {
-            "p99_ms": p99,
-            "cold_fraction": cold_fraction,
+            "p99_ms": pooled["p99_ms"],
+            "cold_fraction": pooled["cold_fraction"],
             "promotions": tier_totals["promotions"],
             "row": {
                 "capacity_mb": capacity_mb,
                 "policy": policy,
                 "scheme": scheme,
                 "routing": "locality" if locality else "blind",
-                "invocations": len(latencies),
-                "cold_fraction": f"{cold_fraction:.0%}",
+                "invocations": pooled["invocations"],
+                "cold_fraction": f"{pooled['cold_fraction']:.0%}",
                 "promotions": tier_totals["promotions"],
                 "evictions": tier_totals["evictions"],
                 "promoted_gb": round(
                     tier_totals["promoted_bytes"] / 1e9, 2),
                 "locality_routed": locality_routed,
-                "p50_ms": round(p50, 1),
-                "p99_ms": round(p99, 1),
+                "p50_ms": round(pooled["p50_ms"], 1),
+                "p99_ms": round(pooled["p99_ms"], 1),
             },
         }
 

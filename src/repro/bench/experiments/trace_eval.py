@@ -8,59 +8,32 @@ bursty arrivals, per restore policy, and at cluster scale.
 
 Cell granularity:
 
-* ``trace_replay`` -- one cell per (trace class, restore scheme); each
-  cell synthesizes its own trace from the cell params, replays it
-  against a single autoscaled worker whose keep-alive window is matched
-  to the class (:func:`repro.functions.catalog.recommended_keepalive_s`),
-  and pools latencies across functions;
+* ``trace_replay`` -- one cell per (trace class, restore scheme),
+  replayed against a single autoscaled worker, latencies pooled across
+  functions;
 * ``trace_scale`` -- one cell per (cluster size, restore scheme); the
   mixed ``azure`` population replayed against an n-worker
   :class:`~repro.orchestrator.cluster.Cluster` behind the warm-affinity
   front end.
 
-Every cell is a pure function of its params (the trace is re-derived
-from the seed inside the cell, never shipped), so the family shards and
-caches through :mod:`repro.bench.runner` like every other experiment.
+Both follow the shared trace-replay cell method of
+:mod:`repro.bench.experiments.replay` (docs/experiments.md,
+"Trace-replay cells"), so the family shards and caches through
+:mod:`repro.bench.runner` like every other experiment.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.analysis.aggregate import collect, percentile
+from repro.analysis.aggregate import collect
+from repro.bench.experiments import replay
+from repro.bench.experiments.replay import SCHEMES
 from repro.bench.experiments.spec import Cell, Experiment
 from repro.bench.harness import ExperimentResult, Testbed
-from repro.functions import get_profile
-from repro.functions.catalog import recommended_keepalive_s
-from repro.orchestrator.autoscaler import Autoscaler, AutoscalerParameters
-from repro.orchestrator.loadgen import (
-    LoadStats,
-    SchemeInvoker,
-    TraceReplayer,
-)
-from repro.orchestrator.trace import TraceSpec, synthesize
+from repro.orchestrator.autoscaler import Autoscaler
+from repro.orchestrator.loadgen import SchemeInvoker, TraceReplayer
 
 #: The pure rate classes the single-worker sweep covers.
 TRACE_CLASSES = ("sporadic", "periodic", "bursty")
-
-#: Restore policies under comparison: lazy paging vs REAP prefetch.
-SCHEMES = ("vanilla", "reap")
-
-
-def _pooled(stats: dict[str, LoadStats]) -> dict[str, Any]:
-    """Fold per-function stats into one population-level row fragment."""
-    latencies = sorted(latency for function_stats in stats.values()
-                       for latency in function_stats.latencies())
-    samples = [sample for function_stats in stats.values()
-               for sample in function_stats.samples]
-    cold = sum(1 for sample in samples if sample.mode != "warm")
-    return {
-        "invocations": len(samples),
-        "cold_fraction": cold / len(samples),
-        "p50_ms": percentile(latencies, 0.50),
-        "p99_ms": percentile(latencies, 0.99),
-        "p999_ms": percentile(latencies, 0.999),
-    }
 
 
 class TraceReplayEval(Experiment):
@@ -88,27 +61,16 @@ class TraceReplayEval(Experiment):
         trace_class = cell.params["trace_class"]
         scheme = cell.params["scheme"]
         seed = cell.params["seed"]
-        functions = tuple(cell.params["functions"])
-        trace = synthesize(TraceSpec(
-            functions=functions, rate_class=trace_class,
-            duration_s=cell.params["duration_s"]), seed=seed)
+        trace = replay.cell_trace(cell.params, trace_class, seed)
         testbed = Testbed(seed=seed)
-        for name in functions:
-            testbed.deploy(get_profile(name))
-        if scheme == "reap":
-            # Fig. 8 methodology: the one-time record invocation is
-            # excluded from the measured population (its cost is the
-            # ``record_overhead`` experiment, §6.4).
-            for name in functions:
-                testbed.invoke(name)
-        scaler = Autoscaler(testbed.orchestrator, AutoscalerParameters(
-            keepalive_s=recommended_keepalive_s(trace_class),
-            scan_period_s=15.0))
-        replayer = TraceReplayer(testbed.env,
-                                 SchemeInvoker(scaler, scheme), trace)
-        stats = testbed.run(replayer.run())
+        replay.deploy(testbed.orchestrator, cell.params["functions"],
+                      record=scheme == "reap")
+        scaler = Autoscaler(testbed.orchestrator,
+                            replay.autoscaler_params(trace_class))
+        stats = testbed.run(TraceReplayer(
+            testbed.env, SchemeInvoker(scaler, scheme), trace).run())
         scaler.stop()
-        pooled = _pooled(stats)
+        pooled = replay.pooled(stats.values())
         return {
             "cold_fraction": pooled["cold_fraction"],
             "p50_ms": pooled["p50_ms"],
@@ -184,31 +146,16 @@ class TraceClusterScale(Experiment):
         scheme = cell.params["scheme"]
         seed = cell.params["seed"]
         n_workers = cell.params["n_workers"]
-        functions = tuple(cell.params["functions"])
-        trace = synthesize(TraceSpec(
-            functions=functions, rate_class="azure",
-            duration_s=cell.params["duration_s"]), seed=seed)
+        trace = replay.cell_trace(cell.params, "azure", seed)
         env = Environment()
         with Cluster(env, n_workers=n_workers, seed=seed,
-                     autoscaler_params=AutoscalerParameters(
-                         keepalive_s=recommended_keepalive_s("azure"),
-                         scan_period_s=15.0)) as cluster:
-            for name in functions:
-                process = env.process(cluster.deploy(get_profile(name)))
-                env.run(until=process)
-            if scheme == "reap":
-                # Each worker records once per function before the replay
-                # (see TraceReplayEval.run_cell on why record is excluded).
-                for worker in cluster.workers:
-                    for name in functions:
-                        process = env.process(
-                            worker.orchestrator.invoke(name))
-                        env.run(until=process)
-            replayer = TraceReplayer(env, SchemeInvoker(cluster, scheme),
-                                     trace)
-            process = env.process(replayer.run())
-            stats = env.run(until=process)
-        pooled = _pooled(stats)
+                     autoscaler_params=replay.autoscaler_params("azure"),
+                     ) as cluster:
+            replay.deploy(cluster, cell.params["functions"],
+                          record=scheme == "reap")
+            stats = env.run(until=env.process(TraceReplayer(
+                env, SchemeInvoker(cluster, scheme), trace).run()))
+        pooled = replay.pooled(stats.values())
         routed = cluster.balancer.stats
         warm_routed = routed.warm_routed / routed.routed if routed.routed \
             else 0.0

@@ -117,6 +117,20 @@ def test_snapstore_tiering_subset():
         assert all(row["promotions"] == 0 for row in big)
 
 
+def test_snapstore_tiering_empty_replay_reports_zeros():
+    # A 30 s azure trace of one sporadic function synthesizes no
+    # arrivals: the cell pools no samples and reports zeros.
+    result = run_experiment(
+        "snapstore_tiering", duration_s=30.0, repetitions=1,
+        capacities_mb=(256,), policies=("lru",), functions=("helloworld",))
+    assert len(result.rows) == 2
+    for row in result.rows:
+        assert row["invocations"] == 0
+        assert row["cold_fraction"] == "0%"
+        assert row["p50_ms"] == 0.0 and row["p99_ms"] == 0.0
+        assert row["promotions"] == 0
+
+
 def test_slo_scorecard_subset():
     result = run_experiment("slo_scorecard", duration_s=300.0,
                             scenarios=("baseline", "crash"))

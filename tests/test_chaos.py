@@ -2,6 +2,7 @@
 
 import pytest
 
+from harness import assert_cell_digest_stable
 from repro.chaos import (
     ChaosController,
     FaultEvent,
@@ -459,3 +460,9 @@ def test_scorecard_baseline_runs_fault_free():
         assert payload["shed"] == 0
         assert payload["retries"] == 0
         assert payload["chaos"]["crashes"] == 0
+
+
+def test_scorecard_digests_pinned():
+    assert_cell_digest_stable("slo_scorecard", duration_s=300.0,
+                              scenarios=["crash"],
+                              functions=["helloworld", "json_serdes"])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from harness import assert_cell_digest_stable
 from repro.bench.harness import Testbed
 from repro.functions import FunctionProfile
 from repro.functions.catalog import (
@@ -317,6 +318,12 @@ def test_trace_replay_experiment_small():
     for row in result.rows:
         assert row["invocations"] > 0
         assert "cold_fraction" in row and "p99_ms" in row
+
+
+def test_trace_replay_digests_pinned():
+    assert_cell_digest_stable("trace_replay", duration_s=300.0,
+                              trace_classes=["bursty"],
+                              functions=["helloworld"])
 
 
 def test_trace_experiments_parallel_serial_cached_identical(tmp_path):
