@@ -31,7 +31,7 @@ from repro.bench.experiments.spec import Cell, Experiment
 from repro.bench.harness import ExperimentResult
 from repro.chaos import ChaosController, SCENARIOS, scenario_plan
 from repro.orchestrator.cluster import Cluster
-from repro.orchestrator.loadgen import SchemeInvoker, TraceReplayer
+from repro.orchestrator.loadgen import SchemeInvoker
 from repro.sim.engine import Environment
 from repro.sim.units import MIB
 from repro.snapstore.tier import TierParameters
@@ -90,8 +90,8 @@ class SloScorecard(Experiment):
             # resilient invoke path, so the scenarios differ only in the
             # injected faults.
             chaos = ChaosController(cluster, plan)
-            stats = env.run(until=env.process(TraceReplayer(
-                env, SchemeInvoker(cluster, scheme), trace).run()))
+            stats = env.run(until=env.process(replay.replay_trace(
+                env, SchemeInvoker(cluster, scheme), trace)))
             # Background re-replication pulls must finish inside the
             # cell (the sanitizer checks for in-flight transfers).
             env.run(until=env.process(chaos.drain()))

@@ -34,7 +34,7 @@ from repro.bench.experiments import replay
 from repro.bench.experiments.spec import Cell, Experiment
 from repro.bench.harness import ExperimentResult, Testbed
 from repro.orchestrator.autoscaler import Autoscaler
-from repro.orchestrator.loadgen import SchemeInvoker, TraceReplayer
+from repro.orchestrator.loadgen import SchemeInvoker
 from repro.policies import SCHEMES as POLICY_SCHEMES
 from repro.policies import PolicyLayerParameters
 from repro.sim.units import MS
@@ -98,13 +98,12 @@ class FloorStudy(Experiment):
                                    keep_warm=True)
             scaling = replace(scaling, keepalive_s=duration_s * 10.0)
         scaler = Autoscaler(testbed.orchestrator, scaling)
-        replayer = TraceReplayer(testbed.env,
-                                 SchemeInvoker(scaler, invoke_scheme),
-                                 trace)
+        invoker = SchemeInvoker(scaler, invoke_scheme)
         layer = testbed.orchestrator.policy_layer
 
         def drive():
-            stats = yield from replayer.run()
+            stats = yield from replay.replay_trace(testbed.env, invoker,
+                                                   trace)
             # Cancel prewarm timers, then let one engine tick deliver
             # the interrupts so an in-flight speculative restore unwinds
             # (releasing its locks) inside the run.
@@ -150,7 +149,7 @@ class FloorStudy(Experiment):
                 gaps[scheme] = gap
                 result.metrics[f"{mix}_{scheme}_gap_p50_ms"] = gap
                 result.metrics[f"{mix}_{scheme}_floor_ratio"] = (
-                    payload["p50_ms"] / floor if floor else 0.0)
+                    replay.ratio(payload["p50_ms"], floor))
             # Ranking: ascending distance to the floor, name tie-break.
             ranked = sorted(SCHEMES,
                             key=lambda scheme: (gaps[scheme], scheme))

@@ -13,22 +13,27 @@ cells"):
   function once before the replay, so the one-time record is excluded
   from the measured population (:func:`deploy`; the Fig. 8 method, the
   record cost is the ``record_overhead`` experiment, §6.4);
+* the trace is replayed as is (:func:`replay_trace`); a cell whose
+  trace has no arrivals pools no samples, so it is a row of 0
+  invocations and 0.0 fractions and tails, and a ratio over such a
+  row is 0.0 (:func:`ratio`);
 * latencies pool across functions into nearest-rank tails
   (:func:`pooled`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Generator, Iterable, Mapping
 
 from repro.analysis.aggregate import percentile
 from repro.functions import get_profile
 from repro.functions.catalog import recommended_keepalive_s
 from repro.orchestrator.autoscaler import AutoscalerParameters
 from repro.orchestrator.cluster import Cluster
-from repro.orchestrator.loadgen import LoadStats
+from repro.orchestrator.loadgen import LoadStats, TraceReplayer
 from repro.orchestrator.orchestrator import Orchestrator
 from repro.orchestrator.trace import InvocationTrace, TraceSpec, synthesize
+from repro.sim.engine import Environment, Event
 
 #: Restore policies under comparison: lazy paging vs REAP prefetch.
 SCHEMES = ("vanilla", "reap")
@@ -64,6 +69,19 @@ def deploy(front: Orchestrator | Cluster, functions: Iterable[str],
                 env.run(until=env.process(orchestrator.invoke(name)))
 
 
+def replay_trace(env: Environment, invoker, trace: InvocationTrace,
+                 ) -> Generator[Event, Any, dict[str, LoadStats]]:
+    """Replay ``trace`` through ``invoker``; per-function stats.
+
+    A trace with no arrivals (a duration too short for its rate class)
+    replays nothing and returns no stats, which :func:`pooled` turns
+    into the all-zero row.
+    """
+    if not len(trace):
+        return {}
+    return (yield from TraceReplayer(env, invoker, trace).run())
+
+
 def pooled(stats: Iterable[LoadStats]) -> dict[str, Any]:
     """Invocations, cold fraction and nearest-rank p50/p99/p99.9 over
     every sample of ``stats``; all zero when there are none."""
@@ -81,3 +99,9 @@ def pooled(stats: Iterable[LoadStats]) -> dict[str, Any]:
         "p99_ms": percentile(latencies, 0.99),
         "p999_ms": percentile(latencies, 0.999),
     }
+
+
+def ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator`` between two pooled rows; 0.0 when the
+    denominator's row pooled no samples."""
+    return numerator / denominator if denominator else 0.0

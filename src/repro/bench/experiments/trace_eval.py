@@ -30,7 +30,7 @@ from repro.bench.experiments.replay import SCHEMES
 from repro.bench.experiments.spec import Cell, Experiment
 from repro.bench.harness import ExperimentResult, Testbed
 from repro.orchestrator.autoscaler import Autoscaler
-from repro.orchestrator.loadgen import SchemeInvoker, TraceReplayer
+from repro.orchestrator.loadgen import SchemeInvoker
 
 #: The pure rate classes the single-worker sweep covers.
 TRACE_CLASSES = ("sporadic", "periodic", "bursty")
@@ -67,8 +67,8 @@ class TraceReplayEval(Experiment):
                       record=scheme == "reap")
         scaler = Autoscaler(testbed.orchestrator,
                             replay.autoscaler_params(trace_class))
-        stats = testbed.run(TraceReplayer(
-            testbed.env, SchemeInvoker(scaler, scheme), trace).run())
+        stats = testbed.run(replay.replay_trace(
+            testbed.env, SchemeInvoker(scaler, scheme), trace))
         scaler.stop()
         pooled = replay.pooled(stats.values())
         return {
@@ -101,8 +101,8 @@ class TraceReplayEval(Experiment):
                     payload["p99_ms"]
             vanilla = by_key[trace_class, "vanilla"]
             reap = by_key[trace_class, "reap"]
-            result.metrics[f"{trace_class}_p99_improvement"] = (
-                vanilla["p99_ms"] / reap["p99_ms"])
+            result.metrics[f"{trace_class}_p99_improvement"] = replay.ratio(
+                vanilla["p99_ms"], reap["p99_ms"])
         result.notes.append(
             "sporadic arrivals (gaps >> keep-alive) stay cold under both "
             "schemes and REAP cuts their tail several-fold; periodic "
@@ -153,8 +153,8 @@ class TraceClusterScale(Experiment):
                      ) as cluster:
             replay.deploy(cluster, cell.params["functions"],
                           record=scheme == "reap")
-            stats = env.run(until=env.process(TraceReplayer(
-                env, SchemeInvoker(cluster, scheme), trace).run()))
+            stats = env.run(until=env.process(replay.replay_trace(
+                env, SchemeInvoker(cluster, scheme), trace)))
         pooled = replay.pooled(stats.values())
         routed = cluster.balancer.stats
         warm_routed = routed.warm_routed / routed.routed if routed.routed \
@@ -188,9 +188,9 @@ class TraceClusterScale(Experiment):
                 result.metrics[f"w{n_workers}_{scheme}_p99_ms"] = \
                     payload["p99_ms"]
         largest = int(max(cluster_sizes))
-        result.metrics["p99_improvement_at_max_scale"] = (
-            by_key[largest, "vanilla"]["p99_ms"]
-            / by_key[largest, "reap"]["p99_ms"])
+        result.metrics["p99_improvement_at_max_scale"] = replay.ratio(
+            by_key[largest, "vanilla"]["p99_ms"],
+            by_key[largest, "reap"]["p99_ms"])
         result.notes.append(
             "the front end's warm-affinity routing finds surviving "
             "instances on any worker, so the cold fraction stays "

@@ -84,11 +84,13 @@ class UffdMonitor:
 
     def _serve(self, fault: PageFaultEvent) -> Generator[Event, Any, None]:
         params = self.host.params
+        env = self.host.env
         page = fault.page
         self.demand_faults += 1
         self.observe(page)
-        yield self.host.env.timeout(params.uffd_event_us
-                                    + params.monitor_dispatch_us)
+        delay = params.uffd_event_us + params.monitor_dispatch_us
+        if not env.advance(delay):
+            yield env.timeout(delay)
         if self.memory_file.has_block(page):
             # §5.2.1: the monitor maps the guest memory file as a regular
             # virtual memory region, so its own access to the page is an
@@ -99,13 +101,16 @@ class UffdMonitor:
             if was_major:
                 self.major_faults += 1
                 extra = self.extra_fault_us
-            yield self.host.env.timeout(params.uffd_copy_us + extra)
+            delay = params.uffd_copy_us + extra
+            if not env.advance(delay):
+                yield env.timeout(delay)
             payload = (self.memory_file.read_block(page)
                        if self._carries_content() else None)
             self.uffd.copy(page, payload)
         else:
             self.zero_faults += 1
-            yield self.host.env.timeout(params.uffd_zeropage_us)
+            if not env.advance(params.uffd_zeropage_us):
+                yield env.timeout(params.uffd_zeropage_us)
             self.uffd.zeropage(page)
 
     def _carries_content(self) -> bool:

@@ -134,6 +134,7 @@ class VanillaPolicy(RestorePolicy):
         hit_cost = page_cache.hit_cost
         written = memory_file._written_blocks
         install = vm.memory.install
+        advance = env.advance
         timeout = env.timeout
 
         def handler(page: int) -> Generator[Event, Any, None]:
@@ -141,7 +142,8 @@ class VanillaPolicy(RestorePolicy):
             # Minor-fault fast path: no fault_in generator for hits.
             cost = hit_cost(memory_file, page)
             if cost is not None:
-                yield timeout(cost)
+                if not advance(cost):
+                    yield timeout(cost)
                 if page not in written:
                     breakdown.zero_faults += 1
                 install(page)
@@ -149,7 +151,7 @@ class VanillaPolicy(RestorePolicy):
             was_major = yield from fault_in(memory_file, page)
             if was_major:
                 breakdown.major_faults += 1
-                if fault_cpu_us > 0.0:
+                if fault_cpu_us > 0.0 and not advance(fault_cpu_us):
                     yield timeout(fault_cpu_us)
             elif page not in written:
                 breakdown.zero_faults += 1

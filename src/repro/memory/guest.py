@@ -17,6 +17,7 @@ do not need bytes to measure latency:
 from __future__ import annotations
 
 import enum
+from typing import Iterable
 
 from repro.sim.units import PAGE_SIZE
 from repro.storage.filesystem import SimFile
@@ -127,6 +128,51 @@ class GuestMemory:
         self._present.add(page)
         self.install_order.append(page)
 
+    def install_many(self, pages: list[int],
+                     data: list[bytes] | None = None) -> int:
+        """Map a batch of pages; returns how many were newly installed.
+
+        The batch form of :meth:`install` (with ``verify``), for eager
+        working-set installs: ``data[i]`` is the payload of
+        ``pages[i]``.  Already-present pages and repeats are skipped.  In
+        metadata mode this is one bulk map (:meth:`_map_fresh`).  Full-
+        content mode verifies page by page, raising
+        :class:`MemoryIntegrityError` at the first payload that differs
+        from the snapshot source.
+        """
+        if not self._full_content:
+            return self._map_fresh(pages)
+        present = self._present
+        before = len(present)
+        for index, page in enumerate(pages):
+            self.install(page, None if data is None else data[index])
+        return len(present) - before
+
+    def _map_fresh(self, pages: Iterable[int]) -> int:
+        """Mark the not-yet-present ``pages`` present, without content.
+
+        One dedupe in first-occurrence order, one bounds check (an
+        out-of-range page raises before anything is mapped) and one set
+        update instead of per-page add/append: boot and REAP's prefetch
+        map hundreds of thousands of pages.  Returns how many pages were
+        newly mapped.
+        """
+        present = self._present
+        if present:
+            fresh = [page for page in dict.fromkeys(pages)
+                     if page not in present]
+        else:
+            fresh = list(dict.fromkeys(pages))
+        page_count = self._page_count
+        if fresh and (min(fresh) < 0 or max(fresh) >= page_count):
+            bad = next(page for page in fresh
+                       if not 0 <= page < page_count)
+            raise ValueError(
+                f"page {bad} outside region of {page_count} pages")
+        present.update(fresh)
+        self.install_order.extend(fresh)
+        return len(fresh)
+
     def _backing_bytes(self, page: int) -> bytes | None:
         if self.backing_file is None:
             return None
@@ -161,32 +207,12 @@ class GuestMemory:
         ``filler(page) -> bytes`` supplies content in full-content mode;
         without it, populated pages carry zeros.
         """
+        if self.content_mode is not ContentMode.FULL or filler is None:
+            self._map_fresh(pages_iter)
+            return
         present = self._present
         order = self.install_order
         page_count = self.page_count
-        want_content = (self.content_mode is ContentMode.FULL
-                        and filler is not None)
-        if not want_content:
-            # Bulk path: boot populates hundreds of thousands of pages;
-            # dedupe in first-occurrence order and update the present set
-            # in one C-level call instead of per-page add/append.
-            pages = list(pages_iter)
-            if not pages:
-                return
-            if min(pages) < 0 or max(pages) >= page_count:
-                for page in pages:
-                    if not 0 <= page < page_count:
-                        raise ValueError(
-                            f"page {page} outside region of "
-                            f"{page_count} pages")
-            if present:
-                fresh = [page for page in dict.fromkeys(pages)
-                         if page not in present]
-            else:
-                fresh = list(dict.fromkeys(pages))
-            present.update(fresh)
-            order.extend(fresh)
-            return
         content = self._content
         for page in pages_iter:
             if not 0 <= page < page_count:

@@ -115,7 +115,9 @@ class UserFaultFd:
         """Install many pages (REAP's eager working-set install).
 
         Returns the number of pages actually installed (already-present
-        pages are skipped, as ``UFFDIO_COPY`` reports ``EEXIST``).
+        pages are skipped, as ``UFFDIO_COPY`` reports ``EEXIST``).  The
+        pages go in through :meth:`GuestMemory.install_many`; then the
+        vCPUs blocked on any of them wake, in batch order.
 
         A ``data`` list whose length differs from ``pages`` raises
         :class:`UffdError` before any page is installed -- the kernel
@@ -128,16 +130,13 @@ class UserFaultFd:
             raise UffdError(
                 f"copy_batch: {len(pages)} page(s) but {len(data)} "
                 f"payload(s)")
-        installed = 0
-        for index, page in enumerate(pages):
-            if self.memory.is_present(page):
-                self._wake(page)
-                continue
-            payload = data[index] if data is not None else None
-            self.memory.install(page, payload)
-            self.pages_copied += 1
-            installed += 1
-            self._wake(page)
+        installed = self.memory.install_many(pages, data)
+        self.pages_copied += installed
+        pending = self._pending
+        if pending:
+            for page in pages:
+                if page in pending:
+                    self._wake(page)
         return installed
 
     def zeropage(self, page: int) -> None:

@@ -339,11 +339,13 @@ class Orchestrator:
     def _anonymous_fault_handler(self, vm: MicroVM,
                                  breakdown: LatencyBreakdown):
         anon_fault_us = self.host.params.anon_fault_us
+        env = self.env
 
         def handler(page: int) -> Generator[Event, Any, None]:
             breakdown.demand_faults += 1
             breakdown.zero_faults += 1
-            yield self.env.timeout(anon_fault_us)
+            if not env.advance(anon_fault_us):
+                yield env.timeout(anon_fault_us)
             vm.memory.install(page, verify=False)
 
         return handler

@@ -37,7 +37,15 @@ overhead minimal:
   ``docs/performance.md``), with no optional hook adding a per-event
   branch;
 * :meth:`Environment.timeout` builds the :class:`Timeout` in a single
-  frame (no ``type.__call__``/``__init__`` double dispatch).
+  frame (no ``type.__call__``/``__init__`` double dispatch);
+* :meth:`Environment.advance` moves the clock in place for a process
+  that is the only work due before its own timeout would fire, so the
+  serial steps of one fault (compute, page-cache hit, device holds,
+  uffd copy) cost no :class:`Timeout`, no heap push and pop, and no
+  resume through the ``yield from`` chain.  It counts as one processed
+  event, and it declines (the caller then yields the timeout) whenever
+  the heap path could order anything differently (see "In-place clock
+  advance" in ``docs/performance.md``).
 
 Setting ``fastpath=False`` on :class:`Environment` (or exporting
 ``REPRO_ENGINE_SLOWPATH=1``) routes every occurrence through the
@@ -279,6 +287,7 @@ class _Bootstrap:
     __slots__ = ()
     _value = None
     _exception = None
+    _cbs = None
 
 
 _BOOTSTRAP = _Bootstrap()
@@ -336,6 +345,7 @@ class Process(Event):
         self._waiting_on = None
         env = self.env
         env._active_process = self
+        env._waker = event
         try:
             if event._exception is not None:
                 event._defused = True
@@ -379,7 +389,8 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_sequence", "_seq_mix", "_immediate",
-                 "_fastpath", "_active_process", "events_processed")
+                 "_fastpath", "_active_process", "_waker", "_deadline",
+                 "_advanced", "events_processed")
 
     def __init__(self, initial_time: float = 0.0,
                  fastpath: Optional[bool] = None) -> None:
@@ -404,6 +415,13 @@ class Environment:
         #: The process currently being resumed (None outside a resume);
         #: lets structural errors name their offending process.
         self._active_process: Optional[Process] = None
+        #: The event whose dispatch is resuming ``_active_process``.
+        self._waker: Any = None
+        #: Latest time :meth:`advance` may reach; ``-inf`` outside
+        #: :meth:`run` and on the slow path, so it never advances there.
+        self._deadline = -_INF
+        #: In-place advances not yet folded into ``events_processed``.
+        self._advanced = 0
         #: Events processed by this environment (see also the module
         #: counter :func:`events_processed_total`).
         self.events_processed = 0
@@ -453,6 +471,35 @@ class Environment:
             heappush(self._heap, (self._now + delay, self._next_seq(), event))
         return event
 
+    def advance(self, delay: float) -> bool:
+        """Move the clock ``delay`` forward in place, if nothing can tell.
+
+        The in-place form of yielding a fresh ``timeout(delay)``: use it
+        as ``if not env.advance(delay): yield env.timeout(delay)``, and
+        only where the calling process would yield that timeout at once,
+        with no other holder.  Returns ``True`` (clock moved, one event
+        counted) only when the heap path would dispatch that timeout
+        next and resume the caller with nothing in between: the caller
+        is in a process step woken by an event with no further
+        callbacks, the immediate deque is empty, every heap entry is
+        strictly later than ``now + delay`` (an equal time still goes
+        through the heap, so sequence order holds), and ``now + delay``
+        is within the deadline of the running :meth:`run`.  Always
+        ``False`` on the slow path, so a ``REPRO_ENGINE_SLOWPATH`` or
+        ``REPRO_SANITIZE_TIEBREAK`` run stays the heap reference.
+        """
+        when = self._now + delay
+        if (self._active_process is None or self._immediate
+                or self._waker._cbs
+                or not self._now <= when <= self._deadline):
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        self._now = when
+        self._advanced += 1
+        return True
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Launch a process from a generator."""
         return Process(self, generator, name=name)
@@ -499,6 +546,7 @@ class Environment:
         heap = self._heap
         immediate = self._immediate
         count = 0
+        self._deadline = deadline if self._fastpath else -_INF
         # The loop allocates short-lived container objects (events, call
         # tuples, generators) at a rate that keeps the cyclic collector
         # busy for no benefit -- nearly everything dies by refcount.
@@ -529,6 +577,10 @@ class Environment:
                         callback(event)
                     continue
                 item._processed = True
+                if item is target:
+                    # The run ends with this dispatch: its callbacks may
+                    # not move the clock past it.
+                    self._deadline = -_INF
                 callback = item._cb
                 if callback is not None:
                     item._cb = None
@@ -538,12 +590,15 @@ class Environment:
                         callback(item)
                     more = item._cbs
                     if more:
-                        item._cbs = None
+                        # Cleared only after the last one ran: while it
+                        # is set, a resumed process shares its wakeup
+                        # and must not advance the clock in place.
                         for callback in more:
                             if type(callback) is Process:
                                 callback._resume(item)
                             else:
                                 callback(item)
+                        item._cbs = None
                 elif item._exception is not None and not item._defused:
                     # A failure nobody waited for: surface it rather
                     # than lose it.
@@ -553,6 +608,12 @@ class Environment:
         finally:
             if gc_was_enabled:
                 gc.enable()
+            self._deadline = -_INF
+            # Drop the last waker: it refers back to this environment,
+            # and a finished run should not keep its event graph alive.
+            self._waker = None
+            count += self._advanced
+            self._advanced = 0
             self.events_processed += count
             _events_processed_total += count
         if target is None:

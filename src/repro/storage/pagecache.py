@@ -133,11 +133,13 @@ class HostPageCache:
         # bookkeeping are inlined.
         cached = self._cached
         params = self.params
+        env = self.env
         key = (file.file_id, file.version, block)
         if key in cached:
             self.hits += 1
             cached.move_to_end(key)
-            yield self.env.timeout(params.hit_us)
+            if not env.advance(params.hit_us):
+                yield env.timeout(params.hit_us)
             return False
         self.misses += 1
         written = file._written_blocks
@@ -146,8 +148,9 @@ class HostPageCache:
             cached[key] = None
             if len(cached) > params.capacity_pages:
                 cached.popitem(last=False)
-            yield self.env.timeout(params.major_fault_us
-                                   + params.insert_us)
+            cost = params.major_fault_us + params.insert_us
+            if not env.advance(cost):
+                yield env.timeout(cost)
             return False
         # Plan the readahead window and issue the device I/O inline
         # (this path runs once per major fault; the former
@@ -176,7 +179,8 @@ class HostPageCache:
             cached.popitem(last=False)
         cost = (params.major_fault_us
                 + params.insert_us * n_blocks)
-        yield self.env.timeout(cost)
+        if not env.advance(cost):
+            yield env.timeout(cost)
         return True
 
     # -- read(2) path --------------------------------------------------------

@@ -89,7 +89,8 @@ class SsdDevice:
             grant = controller.request()
             try:
                 yield grant
-                yield env.timeout(params.controller_us)
+                if not env.advance(params.controller_us):
+                    yield env.timeout(params.controller_us)
             finally:
                 controller.release(grant)
             service = (params.flash_read_us
@@ -98,7 +99,8 @@ class SsdDevice:
             grant = channels.request()
             try:
                 yield grant
-                yield env.timeout(service)
+                if not env.advance(service):
+                    yield env.timeout(service)
             finally:
                 channels.release(grant)
         else:

@@ -52,10 +52,12 @@ class ThinPoolDevice:
 
     def read(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Serve a read through the pool's limited queue."""
+        env = self.env
         grant = self._slots.request()
         try:
             yield grant
-            yield self.env.timeout(self.params.mapping_overhead_us)
+            if not env.advance(self.params.mapping_overhead_us):
+                yield env.timeout(self.params.mapping_overhead_us)
             yield from self.backing.read(request)
         finally:
             self._slots.release(grant)

@@ -46,83 +46,58 @@ class VCpu:
         """
         if compute_us < 0:
             raise ValueError(f"negative compute budget: {compute_us}")
+        env = self.env
         if not pages:
-            if compute_us > 0:
-                yield self.env.timeout(compute_us)
+            if compute_us > 0 and not env.advance(compute_us):
+                yield env.timeout(compute_us)
             return
-        tracer = obs_tracer.ACTIVE
-        if (tracer is not None and obs_lane is not None
-                and fault_handler is not None):
-            yield from self._execute_phase_traced(
-                memory, pages, compute_us, fault_handler, tracer,
-                obs_lane, obs_proc)
-            return
+        # A *fault window* is a maximal run of consecutive missing pages:
+        # one span per window (not per fault) keeps traces readable while
+        # still showing exactly where the §4.2 serial-fault pathology
+        # bites.  A window closes lazily, at the next fault that does not
+        # continue it or at phase end, at the time after its last fault
+        # (present pages never move the clock), so the tracer costs two
+        # branches per fault and nothing per present page.
+        tracer = obs_tracer.ACTIVE if obs_lane is not None else None
+        window = None
+        window_faults = 0
         per_access = compute_us / len(pages)
-        accumulated = 0.0
-        # Hot loop: hoist the present-set and the timeout factory so the
-        # all-resident case costs one set lookup and one float add per
-        # page.  ``accumulated`` stays an incremental sum (not
+        # Hot loop: hoist the present-set, the clock advance and the
+        # timeout factory so the all-resident case costs one set lookup
+        # and one float add per page.  ``since`` is the compute
+        # accumulated since the last fault, an incremental sum (not
         # ``per_access * n``) so timeout values are bit-identical to the
-        # reference loop.
+        # reference loop.  With no compute budget it counts accesses
+        # instead and no compute is yielded; either way ``since == step``
+        # at a fault exactly when the previous page faulted too.
+        step = per_access or 1.0
+        since = 0.0
         present = memory._present
-        timeout = self.env.timeout
+        advance = env.advance
+        timeout = env.timeout
         for page in pages:
-            accumulated += per_access
+            since += step
             if page in present:
                 continue
             if fault_handler is None:
                 raise RuntimeError(
                     f"page {page} missing during warm execution")
-            if accumulated > 0.0:
-                yield timeout(accumulated)
-                accumulated = 0.0
-            self.faults_taken += 1
-            yield from fault_handler(page)
-        if accumulated > 0.0:
-            yield timeout(accumulated)
-
-    def _execute_phase_traced(self, memory, pages: Sequence[int],
-                              compute_us: float,
-                              fault_handler: FaultHandler,
-                              tracer, obs_lane: str, obs_proc: str,
-                              ) -> Generator[Event, Any, None]:
-        """The same loop with demand-paging windows recorded as spans.
-
-        A *fault window* is a maximal run of consecutive missing pages:
-        one span per window (not per fault) keeps traces readable while
-        still showing exactly where the §4.2 serial-fault pathology
-        bites.  The timeout sequence -- values and positions -- is
-        bit-identical to the untraced loop: compute accumulates across
-        present pages and is yielded only right before a fault and at
-        phase end.
-        """
-        env = self.env
-        per_access = compute_us / len(pages)
-        accumulated = 0.0
-        present = memory._present
-        timeout = env.timeout
-        window = None
-        window_faults = 0
-        for page in pages:
-            accumulated += per_access
-            if page in present:
-                if window is not None:
-                    tracer.end(window, env.now,
-                               args={"faults": window_faults})
-                    window = None
-                continue
-            if accumulated > 0.0:
-                yield timeout(accumulated)
-                accumulated = 0.0
-            if window is None:
-                window = tracer.begin("fault_window", env.now,
-                                      lane=obs_lane, proc=obs_proc,
-                                      cat="paging")
-                window_faults = 0
-            window_faults += 1
+            if tracer is not None and window is not None and since != step:
+                tracer.end(window, env.now, args={"faults": window_faults})
+                window = None
+            if per_access and not advance(since):
+                yield timeout(since)
+            since = 0.0
+            if tracer is not None:
+                if window is None:
+                    window = tracer.begin("fault_window", env.now,
+                                          lane=obs_lane, proc=obs_proc,
+                                          cat="paging")
+                    window_faults = 0
+                window_faults += 1
             self.faults_taken += 1
             yield from fault_handler(page)
         if window is not None:
             tracer.end(window, env.now, args={"faults": window_faults})
-        if accumulated > 0.0:
-            yield timeout(accumulated)
+        if per_access and since > 0.0 and not advance(since):
+            yield timeout(since)

@@ -131,6 +131,32 @@ def test_snapstore_tiering_empty_replay_reports_zeros():
         assert row["promotions"] == 0
 
 
+
+# A cell whose duration synthesizes no arrivals (a 1 s sporadic trace of
+# helloworld, or a 1 s azure trace of pyaes) is a row of 0 invocations
+# and 0.0 fractions and tails, and a ratio over it is 0.0.
+@pytest.mark.parametrize("experiment, kwargs, ratio", [
+    ("trace_replay", dict(trace_classes=["sporadic"],
+                          functions=["helloworld"]),
+     "sporadic_p99_improvement"),
+    ("trace_scale", dict(cluster_sizes=(1,), functions=["pyaes"]),
+     "p99_improvement_at_max_scale"),
+    ("slo_scorecard", dict(scenarios=("baseline",), functions=["pyaes"]),
+     None),
+    ("floor_study", dict(mixes=("sporadic",), functions=["helloworld"]),
+     "sporadic_reap_floor_ratio"),
+])
+def test_replay_cell_without_arrivals_is_a_zero_row(experiment, kwargs,
+                                                     ratio):
+    result = run_experiment(experiment, duration_s=1.0, **kwargs)
+    assert result.rows
+    for row in result.rows:
+        assert row.get("invocations", row.get("issued")) == 0
+        assert row["cold_fraction"] == "0%"
+        assert row["p50_ms"] == 0.0 and row["p99_ms"] == 0.0
+    if ratio is not None:
+        assert result.metrics[ratio] == 0.0
+
 def test_slo_scorecard_subset():
     result = run_experiment("slo_scorecard", duration_s=300.0,
                             scenarios=("baseline", "crash"))

@@ -96,3 +96,37 @@ def test_populate_all_and_populate():
     assert memory.present_pages == 3
     memory.populate_all()
     assert memory.present_pages == 16
+
+
+def test_install_many_dedupes_in_first_occurrence_order():
+    memory = GuestMemory(1 * MIB)
+    memory.install(4)
+    assert memory.install_many([7, 4, 2, 7, 9, 2]) == 3
+    assert memory.faulted_pages() == [4, 7, 2, 9]
+    assert memory.install_many([]) == 0
+    assert memory.install_many([2, 9]) == 0
+    assert memory.present_pages == 4
+
+
+def test_install_many_bounds_check_installs_nothing():
+    memory = GuestMemory(1 * MIB)
+    with pytest.raises(ValueError, match=f"page {memory.page_count} "):
+        memory.install_many([1, memory.page_count, 2, -1])
+    with pytest.raises(ValueError, match="page -1 "):
+        memory.install_many([3, -1])
+    assert memory.present_pages == 0 and memory.faulted_pages() == []
+
+
+def test_install_many_full_content_verifies_each_page():
+    backing = make_backing()
+    for page in (0, 1, 2):
+        backing.write_block(page, bytes([page + 1]) * PAGE_SIZE)
+    memory = GuestMemory(backing.size, mode=BackingMode.UFFD,
+                         content=ContentMode.FULL, backing_file=backing)
+    good = [bytes([page + 1]) * PAGE_SIZE for page in (0, 1, 2)]
+    assert memory.install_many([0, 1, 0], [good[0], good[1], good[0]]) == 2
+    with pytest.raises(MemoryIntegrityError):
+        memory.install_many([2], [bytes([9]) * PAGE_SIZE])
+    assert not memory.is_present(2)
+    assert memory.install_many([2], [good[2]]) == 1
+    assert memory.read_page(2) == good[2]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.memory import BackingMode, ContentMode, GuestMemory, UserFaultFd
+from repro.memory.guest import MemoryIntegrityError
 from repro.memory.uffd import UffdError
 from repro.sim import Environment
 from repro.sim.units import MIB, PAGE_SIZE
@@ -182,3 +183,35 @@ def test_copy_batch_mismatch_still_wakes_nobody():
     env.process(monitor())
     env.run(until=50)
     assert woken == []
+
+
+def test_copy_batch_wakes_pending_faulters_in_batch_order():
+    env, _backing, memory, uffd = make_uffd()
+    woken = []
+
+    def vcpu(page):
+        yield uffd.raise_fault(page)
+        woken.append(page)
+
+    def monitor():
+        yield env.timeout(10)
+        # 9 repeats and 6 was never faulted: neither changes the order.
+        assert uffd.copy_batch([9, 6, 2, 9, 5]) == 4
+        assert uffd.pages_copied == 4
+
+    for page in (5, 2, 9):
+        env.process(vcpu(page))
+    env.process(monitor())
+    env.run()
+    assert woken == [9, 2, 5]
+    assert memory.faulted_pages() == [9, 6, 2, 5]
+    assert uffd.copy_batch([2, 5, 9]) == 0
+    assert uffd.pages_copied == 4
+
+
+def test_copy_batch_mismatched_full_content_payload_raises():
+    env, backing, _memory, uffd = make_uffd(ContentMode.FULL)
+    backing.write_block(1, bytes([1]) * PAGE_SIZE)
+    with pytest.raises(MemoryIntegrityError):
+        uffd.copy_batch([0, 1], data=[bytes(PAGE_SIZE),
+                                      bytes([2]) * PAGE_SIZE])

@@ -7,6 +7,7 @@ during an invocation is closed exactly once -- including on the
 interrupt path, where open spans close with ``status="error"``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -15,15 +16,16 @@ from repro.bench.cache import canonicalize
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.experiments.spec import run_cell_checked
 from repro.bench.harness import Testbed
-from repro.functions import FunctionProfile
+from repro.functions import FunctionProfile, get_profile
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import SpanError, validate_chrome_trace
 from repro.orchestrator import Autoscaler, Cluster, Orchestrator
 from repro.sim.engine import Environment, Interrupt
-from repro.sim.units import MS
+from repro.memory.guest import GuestMemory
+from repro.sim.units import MIB, MS
 from repro.snapstore.tier import TierParameters
-from repro.vm import WorkerHost
+from repro.vm import VCpu, WorkerHost
 
 
 @pytest.fixture
@@ -212,6 +214,60 @@ def test_cold_start_spans_close_in_documented_phase_order(tracer):
     for window in tracer.spans_named("fault_window"):
         assert window.parent.name in ("connection", "processing")
         assert window.args["faults"] >= 1
+
+
+def _sha256(blob):
+    return hashlib.sha256(
+        json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+def test_fault_window_trace_is_pinned(tracer):
+    """Span output of the vCPU replay loop, pinned byte for byte.
+
+    Every restore path that faults (record, REAP, vanilla, WS file) plus
+    a warm invocation, on two functions; recorded before the traced and
+    untraced replay loops were folded into one.
+    """
+    testbed = Testbed(seed=7)
+    for name in ("helloworld", "pyaes"):
+        testbed.deploy(get_profile(name))
+    for name in ("helloworld", "pyaes"):
+        testbed.invoke(name)                      # record
+        testbed.invoke(name)                      # reap
+        testbed.invoke(name, mode="vanilla")
+        testbed.invoke(name, mode="ws_file", keep_warm=True)
+        testbed.invoke(name)                      # warm
+    windows = [[span.proc, span.lane, span.start_us, span.end_us, span.args]
+               for span in tracer.spans_named("fault_window")]
+    assert (len(windows), sum(w[4]["faults"] for w in windows)) == (286, 8885)
+    assert _sha256(windows) == (
+        "9b4b43181e1cb7f561e4e8608cbf4b6b9be578615a87fef5c16f1dc8566ecfbe")
+    assert _sha256(tracer.to_chrome()) == (
+        "363ea713c6c4e388da7e84f5a7b4f60b5f8902709c922738ec2cc4ad6b0b5dba")
+
+
+@pytest.mark.parametrize("compute_us, expected", [
+    (600.0, [(75.0, 350.0, 2), (575.0, 850.0, 2), (1000.0, 1100.0, 1)]),
+    # No compute budget: windows split by present pages still close at
+    # the time after their last fault, back to back with the next one.
+    (0.0, [(0.0, 200.0, 2), (200.0, 400.0, 2), (400.0, 500.0, 1)]),
+])
+def test_fault_windows_split_at_present_pages(tracer, compute_us, expected):
+    env = Environment()
+    memory = GuestMemory(1 * MIB)
+    memory.populate([2, 3, 6])
+    vcpu = VCpu(env)
+
+    def handler(page):
+        yield env.timeout(100.0)
+        memory.install(page)
+
+    env.run(until=env.process(vcpu.execute_phase(
+        memory, list(range(8)), compute_us, handler, obs_lane="lane")))
+    windows = [(span.start_us, span.end_us, span.args["faults"])
+               for span in tracer.spans_named("fault_window")]
+    assert windows == expected
+    assert not tracer.open_spans()
 
 
 def tiered_orchestrator(evicted=False):

@@ -641,3 +641,198 @@ def test_exhausted_queue_before_target_raises(profiled):
     with pytest.raises(SimulationError, match="exhausted before target"):
         env.run(until=never)
     assert env.now == 3
+
+
+# -- in-place clock advance ----------------------------------------------------
+
+
+def test_advance_from_a_bootstrap_step_moves_the_clock():
+    env = Environment()
+    seen = []
+
+    def body():
+        seen.append(env.advance(5.0))
+        seen.append(env.now)
+        yield env.timeout(1.0)
+
+    env.process(body())
+    env.run()
+    assert seen == [True, 5.0] and env.now == 6.0
+
+
+def test_advance_declines_an_equal_time_heap_entry():
+    env = Environment()
+    seen = []
+
+    def other():
+        yield env.timeout(10.0)
+
+    def body():
+        yield env.timeout(1.0)
+        seen.append(env.advance(9.0))   # 10.0 ties the heap head
+        seen.append(env.advance(8.5))   # strictly earlier: advances
+        seen.append(env.now)
+
+    env.process(other())
+    env.process(body())
+    env.run()
+    assert seen == [False, True, 9.5]
+
+
+def test_advance_stays_within_the_run_deadline():
+    env = Environment()
+    seen = []
+
+    def body():
+        yield env.timeout(1.0)
+        seen.append(env.advance(5.0))   # 6.0 is past until=4.0
+        seen.append(env.advance(3.0))   # exactly the deadline
+        seen.append(env.now)
+        yield env.timeout(1.0)
+        seen.append("late")
+
+    env.process(body())
+    env.run(until=4.0)
+    assert seen == [False, True, 4.0]
+    assert env.now == 4.0
+
+
+def test_advance_never_passes_the_run_target():
+    env = Environment()
+    target = env.timeout(1.0)
+    seen = []
+
+    def waiter():
+        yield target
+        seen.append(env.advance(5.0))
+
+    env.process(waiter())
+    env.run(until=target)
+    assert seen == [False]
+    assert env.now == 1.0
+
+
+def test_advance_declines_while_the_immediate_deque_is_busy():
+    env = Environment()
+    seen = []
+
+    def body():
+        yield env.timeout(1.0)
+        gate = env.event()
+        gate.succeed()
+        seen.append(env.advance(1.0))
+        yield gate
+        seen.append(env.advance(1.0))
+        seen.append(env.now)
+
+    env.process(body())
+    env.run()
+    assert seen == [False, True, 2.0]
+
+
+def test_advance_declines_a_wakeup_shared_with_other_waiters():
+    env = Environment()
+    shared = env.timeout(1.0)
+    seen = []
+
+    def waiter(name):
+        yield shared
+        seen.append((name, env.advance(1.0)))
+
+    env.process(waiter("a"))
+    env.process(waiter("b"))
+    env.run()
+    assert seen == [("a", False), ("b", False)]
+    assert env.now == 1.0
+
+
+def test_advance_outside_a_process_step_or_off_the_fast_path(monkeypatch):
+    env = Environment()
+    assert env.advance(1.0) is False
+    seen = []
+    event = env.event()
+    event._add_callback(lambda _event: seen.append(env.advance(1.0)))
+    event.succeed()
+    env.run()
+    assert seen == [False] and env.now == 0.0
+
+    def body(env):
+        seen.append(env.advance(1.0))
+        yield env.timeout(1.0)
+
+    seen.clear()
+    slow = Environment(fastpath=False)
+    slow.process(body(slow))
+    slow.run()
+    monkeypatch.setenv("REPRO_SANITIZE_TIEBREAK", "7")
+    perturbed = Environment()
+    perturbed.process(body(perturbed))
+    perturbed.run()
+    assert seen == [False, False]
+    assert slow.now == 1.0 and perturbed.now == 1.0
+
+
+def test_advance_declines_a_negative_delay():
+    env = Environment()
+    seen = []
+
+    def body():
+        yield env.timeout(2.0)
+        seen.append(env.advance(-1.0))
+
+    env.process(body())
+    env.run()
+    assert seen == [False] and env.now == 2.0
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_each_advance_counts_as_one_event(fastpath):
+    engine = __import__("repro.sim.engine", fromlist=["x"])
+    env = Environment(fastpath=fastpath)
+    advanced = []
+
+    def body():
+        for _ in range(10):
+            if env.advance(1.5):
+                advanced.append(env.now)
+            else:
+                yield env.timeout(1.5)
+
+    before = engine.events_processed_total()
+    env.process(body())
+    env.run()
+    # Bootstrap, ten timeouts (in place or not) and the completion.
+    assert env.events_processed == 12
+    assert engine.events_processed_total() - before == 12
+    assert env.now == 15.0
+    assert len(advanced) == (10 if fastpath else 0)
+
+
+@pytest.mark.parametrize("interrupt_at", [5.0, 3.0], ids=["tie", "earlier"])
+def test_interrupt_due_no_later_than_the_advance_lands_first(interrupt_at):
+    def run(fastpath):
+        env = Environment(fastpath=fastpath)
+        log = []
+
+        def sleeper():
+            yield env.timeout(1.0)
+            try:
+                if not env.advance(4.0):
+                    yield env.timeout(4.0, value="slept")
+                log.append(("sleeper", env.now))
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, env.now))
+
+        def interrupter(target):
+            yield env.timeout(interrupt_at)
+            log.append(("interrupt", env.now))
+            target.interrupt(cause="stop")
+
+        target = env.process(sleeper())
+        env.process(interrupter(target))
+        env.run()
+        return log
+
+    log = run(fastpath=True)
+    assert log == run(fastpath=False)
+    assert log[0] == ("interrupt", interrupt_at)
