@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.memory.guest import ContentMode
 from repro.memory.working_set import contiguous_runs
@@ -103,9 +104,13 @@ class WorkingSetFile:
         """Size of the packed working set."""
         return len(self.pages) * PAGE_SIZE
 
-    @property
+    @cached_property
     def run_count(self) -> int:
-        """Contiguous guest-physical runs (one install ioctl per run)."""
+        """Contiguous guest-physical runs (one install ioctl per run).
+
+        Computed on first access: the artifact never changes, and every
+        REAP and WS-file restore reads it.
+        """
         return len(contiguous_runs(self.pages))
 
     @classmethod

@@ -272,11 +272,12 @@ class ParallelPfPolicy(_UffdPolicy):
             while queue:
                 page = queue.popleft()
                 if memory_file.has_block(page):
-                    data = yield from self.host.page_cache.read(
+                    yield from self.host.page_cache.read(
                         memory_file, page * PAGE_SIZE, PAGE_SIZE,
                         kind=ReadKind.READAHEAD)
                     yield env.timeout(params.uffd_copy_us)
-                    self.uffd.copy(page, data if full_content else None)
+                    self.uffd.copy(page, memory_file.read_block(page)
+                                   if full_content else None)
                 else:
                     yield env.timeout(params.uffd_zeropage_us)
                     self.uffd.zeropage(page)

@@ -45,7 +45,10 @@ overhead minimal:
   resume through the ``yield from`` chain.  It counts as one processed
   event, and it declines (the caller then yields the timeout) whenever
   the heap path could order anything differently (see "In-place clock
-  advance" in ``docs/performance.md``).
+  advance" in ``docs/performance.md``);
+* :meth:`Environment.take` consumes an uncontended resource grant in
+  place under the same rules, so a device request that finds a free
+  slot costs no loop iteration and no resume either.
 
 Setting ``fastpath=False`` on :class:`Environment` (or exporting
 ``REPRO_ENGINE_SLOWPATH=1``) routes every occurrence through the
@@ -417,10 +420,12 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: The event whose dispatch is resuming ``_active_process``.
         self._waker: Any = None
-        #: Latest time :meth:`advance` may reach; ``-inf`` outside
-        #: :meth:`run` and on the slow path, so it never advances there.
+        #: Latest time :meth:`advance` may reach and :meth:`take` may
+        #: run at; ``-inf`` outside :meth:`run` and on the slow path, so
+        #: neither acts there.
         self._deadline = -_INF
-        #: In-place advances not yet folded into ``events_processed``.
+        #: In-place advances and takes not yet folded into
+        #: ``events_processed``.
         self._advanced = 0
         #: Events processed by this environment (see also the module
         #: counter :func:`events_processed_total`).
@@ -497,6 +502,37 @@ class Environment:
         if heap and heap[0][0] <= when:
             return False
         self._now = when
+        self._advanced += 1
+        return True
+
+    def take(self, event: Event) -> bool:
+        """Consume the just-triggered ``event`` in place, if nothing can tell.
+
+        The in-place form of yielding an event that has just been
+        triggered for the caller alone (an uncontended resource grant):
+        use it as ``if not env.take(grant): yield grant``.  Returns
+        ``True`` (event processed, one event counted, the caller keeps
+        running as if resumed by it) only when the loop would dispatch
+        ``event`` next and resume the caller with nothing in between:
+        the caller is in a process step woken by an event with no
+        further callbacks, ``event`` succeeded, has no callbacks and is
+        the only item in the immediate deque, no heap entry is due at
+        ``now``, and ``now`` is within the deadline of the running
+        :meth:`run`.  A queued (contended) request is not yet triggered
+        and is never taken.  Always ``False`` on the slow path.
+        """
+        immediate = self._immediate
+        if (self._active_process is None or len(immediate) != 1
+                or immediate[0] is not event or self._waker._cbs
+                or event._cb is not None or event._exception is not None
+                or not self._now <= self._deadline):
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= self._now:
+            return False
+        immediate.pop()
+        event._processed = True
+        self._waker = event
         self._advanced += 1
         return True
 

@@ -128,12 +128,15 @@ class Resource:
         Usage: ``yield from resource.acquire(service_time)``.
         """
         request = self.request()
+        env = self.env
         try:
             # The wait itself is inside the try: an Interrupt while
             # queued must cancel the request, or the slot leaks when it
             # is eventually granted to a dead process (REPRO-R001).
-            yield request
-            yield self.env.timeout(hold_time)
+            if not env.take(request):
+                yield request
+            if not env.advance(hold_time):
+                yield env.timeout(hold_time)
         finally:
             self.release(request)
 

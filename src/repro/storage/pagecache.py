@@ -19,6 +19,13 @@ Three read paths matter to the paper, and all three live here:
 
 ``drop_caches`` models the paper's methodology of flushing the host page
 cache before every cold invocation (§4.1).
+
+Every read path here charges simulated time and returns no bytes.  The
+cost depends only on which blocks a file has and which are cached, so
+building the content of a multi-megabyte working-set read would be host
+work that no result uses; the one caller that needs content
+(``parallel_pf`` installing full-content pages) reads it from the
+:class:`SimFile` itself.
 """
 
 from __future__ import annotations
@@ -187,25 +194,38 @@ class HostPageCache:
 
     def read(self, file: SimFile, offset: int, nbytes: int,
              direct: bool = False,
-             kind: ReadKind | None = None) -> Generator[Event, Any, bytes]:
-        """Buffered or O_DIRECT read; returns the content bytes."""
+             kind: ReadKind | None = None) -> Generator[Event, Any, None]:
+        """Charge the time of a buffered or O_DIRECT read.
+
+        Returns nothing: the timing model needs only which blocks the
+        file has, and no caller uses the bytes of a timed read.  A
+        caller that needs content reads it from ``file`` itself
+        (:meth:`SimFile.read`/``read_block``).
+        """
+        if offset < 0 or offset + nbytes > file.size:
+            raise ValueError(
+                f"read [{offset}, {offset + nbytes}) outside file "
+                f"{file.name!r} of size {file.size}")
         if direct:
             yield from self._direct_read(file, offset, nbytes)
         else:
             yield from self._buffered_read(file, offset, nbytes,
                                            kind or ReadKind.BUFFERED)
-        return file.read(offset, nbytes)
 
     def _direct_read(self, file: SimFile, offset: int,
                      nbytes: int) -> Generator[Event, Any, None]:
+        env = self.env
         pages = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
-        yield self.env.timeout(self.params.direct_per_page_us * pages)
+        cost = self.params.direct_per_page_us * pages
+        if not env.advance(cost):
+            yield env.timeout(cost)
         for lba, length in file.iter_device_ranges(offset, nbytes):
             yield from file.device.read(
                 IoRequest(lba=lba, nbytes=length, kind=ReadKind.DIRECT))
 
     def _buffered_read(self, file: SimFile, offset: int, nbytes: int,
                        kind: ReadKind) -> Generator[Event, Any, None]:
+        env = self.env
         end = min(offset + nbytes, file.size)
         first_block = offset // PAGE_SIZE
         last_block = (end - 1) // PAGE_SIZE
@@ -225,7 +245,8 @@ class HostPageCache:
             if self.is_cached(file, block):
                 self._touch(self._key(file, block))
                 self.hits += 1
-                yield self.env.timeout(self.params.copy_us)
+                if not env.advance(self.params.copy_us):
+                    yield env.timeout(self.params.copy_us)
                 block += 1
                 continue
             # Miss: read the remaining requested blocks plus the current
@@ -244,8 +265,9 @@ class HostPageCache:
             if not run:
                 # Hole: zero-fill without device I/O.
                 self._insert(self._key(file, block))
-                yield self.env.timeout(self.params.insert_us
-                                       + self.params.copy_us)
+                cost = self.params.insert_us + self.params.copy_us
+                if not env.advance(cost):
+                    yield env.timeout(cost)
                 block += 1
                 continue
             run_offset = run[0] * PAGE_SIZE
@@ -256,7 +278,8 @@ class HostPageCache:
             for index in run:
                 self._insert(self._key(file, index))
             cost = len(run) * (self.params.insert_us + self.params.copy_us)
-            yield self.env.timeout(cost)
+            if not env.advance(cost):
+                yield env.timeout(cost)
             block = run[-1] + 1
 
     # -- write path ----------------------------------------------------------

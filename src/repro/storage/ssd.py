@@ -83,12 +83,14 @@ class SsdDevice:
             # Inlined controller + channel acquire: one random read runs
             # per demand-fault window, so the two Resource.acquire
             # delegation frames are measurable.  The event sequence is
-            # identical to ``yield from resource.acquire(hold)`` twice.
+            # identical to ``yield from resource.acquire(hold)`` twice
+            # (uncontended grants taken in place, as there).
             env = self.env
             controller = self._controller
             grant = controller.request()
             try:
-                yield grant
+                if not env.take(grant):
+                    yield grant
                 if not env.advance(params.controller_us):
                     yield env.timeout(params.controller_us)
             finally:
@@ -98,7 +100,8 @@ class SsdDevice:
             channels = self._channels
             grant = channels.request()
             try:
-                yield grant
+                if not env.take(grant):
+                    yield grant
                 if not env.advance(service):
                     yield env.timeout(service)
             finally:

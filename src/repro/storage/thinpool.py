@@ -55,7 +55,8 @@ class ThinPoolDevice:
         env = self.env
         grant = self._slots.request()
         try:
-            yield grant
+            if not env.take(grant):
+                yield grant
             if not env.advance(self.params.mapping_overhead_us):
                 yield env.timeout(self.params.mapping_overhead_us)
             yield from self.backing.read(request)

@@ -11,6 +11,7 @@ from repro.core.files import (
     WorkingSetFile,
 )
 from repro.memory.guest import ContentMode
+from repro.memory.working_set import contiguous_runs
 from repro.sim import Environment
 from repro.sim.units import MIB, PAGE_SIZE
 from repro.storage import Filesystem, SsdDevice
@@ -114,6 +115,26 @@ def test_ws_run_count():
     ws = WorkingSetFile.build(fs, "ws", (1, 2, 3, 10, 20, 21), memory_file,
                               content=ContentMode.METADATA)
     assert ws.run_count == 3
+
+
+def test_ws_run_count_is_computed_once(monkeypatch):
+    from repro.core import files
+
+    fs = make_fs()
+    memory_file = make_memory_file(fs, [])
+    pages = (7, 1, 2, 3, 10, 20, 21, 8)
+    ws = WorkingSetFile.build(fs, "ws", pages, memory_file,
+                              content=ContentMode.METADATA)
+    calls = []
+
+    def counting_runs(page_set):
+        calls.append(page_set)
+        return contiguous_runs(page_set)
+
+    monkeypatch.setattr(files, "contiguous_runs", counting_runs)
+    assert ws.run_count == len(contiguous_runs(pages)) == 4
+    assert ws.run_count == 4
+    assert len(calls) == 1
 
 
 def test_artifacts_require_matching_orders():

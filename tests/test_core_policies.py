@@ -12,6 +12,7 @@ from repro.memory import ContentMode
 from repro.orchestrator import Orchestrator
 from repro.policies import POLICIES
 from repro.sim import Environment
+from repro.storage import SimFile
 from repro.vm import WorkerHost
 
 
@@ -187,3 +188,26 @@ def test_timing_identical_between_content_modes():
         times[content] = reap.breakdown.total_us
     assert times[ContentMode.FULL] == pytest.approx(
         times[ContentMode.METADATA])
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "ws_file", "reap"])
+def test_metadata_cold_start_reads_no_content(mode, monkeypatch):
+    """Timed reads charge time only: in metadata mode a restore never
+    builds the bytes of the WS file or of the memory file."""
+    env, host, orch, profile = make_stack(content=ContentMode.METADATA)
+    invoke(env, orch, "tiny")  # record
+    watched = {orch.reap.state_for("tiny").artifacts.working_set.file,
+               orch.function("tiny").snapshot.memory_file}
+    reads = []
+    original = SimFile.read
+
+    def counting_read(self, offset, nbytes):
+        if self in watched:
+            reads.append((self.name, offset, nbytes))
+        return original(self, offset, nbytes)
+
+    monkeypatch.setattr(SimFile, "read", counting_read)
+    result = invoke(env, orch, "tiny", mode=mode)
+    assert result.mode == mode
+    assert result.breakdown.total_us > 0
+    assert reads == []

@@ -491,6 +491,31 @@ def test_fastpath_slowpath_experiment_byte_identical(monkeypatch):
     assert fast_events > 0
 
 
+def _run_fig9_cell():
+    from repro.bench.experiments import Fig9Scalability
+
+    experiment = Fig9Scalability()
+    (cell,) = experiment.cells(levels=(8,))
+    before = sim_engine.events_processed_total()
+    payload = experiment.run_cell(cell)
+    events = sim_engine.events_processed_total() - before
+    return json.dumps(canonicalize(payload), sort_keys=True), events
+
+
+def test_fastpath_slowpath_contended_experiment_byte_identical(monkeypatch):
+    """Eight concurrent vanilla and then REAP cold starts queue on the
+    thin pool and the SSD, so grants are contended and the in-place
+    take and advance decline often: both engine paths must still give
+    the same payload and process the same number of events."""
+    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
+    fast_payload, fast_events = _run_fig9_cell()
+    monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
+    slow_payload, slow_events = _run_fig9_cell()
+    assert fast_payload == slow_payload
+    assert fast_events == slow_events
+    assert fast_events > 0
+
+
 def test_fig7_cell_digest_matches_golden():
     """Golden-digest pin through the shared test harness: the fig7
     helloworld cell payload must digest to the value recorded in

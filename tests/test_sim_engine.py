@@ -7,8 +7,10 @@ from repro.sim import (
     AnyOf,
     Environment,
     Interrupt,
+    Resource,
     SimulationError,
 )
+from repro.sim import engine
 
 
 def test_clock_starts_at_zero():
@@ -836,3 +838,332 @@ def test_interrupt_due_no_later_than_the_advance_lands_first(interrupt_at):
     log = run(fastpath=True)
     assert log == run(fastpath=False)
     assert log[0] == ("interrupt", interrupt_at)
+
+
+# -- in-place grant take -------------------------------------------------------
+
+
+def _on_both_paths(scenario):
+    """Run ``scenario(env, log, taken)`` on the fast and the slow path.
+
+    The scenario builds its processes and returns the ``until`` argument
+    of the run (``None`` for exhaustion).  Both paths must log the same
+    things, end at the same time and process the same number of events;
+    the slow path never takes.  Returns the fast path's log and take
+    results.
+    """
+    runs = []
+    for fastpath in (True, False):
+        env = Environment(fastpath=fastpath)
+        log, taken = [], []
+        env.run(until=scenario(env, log, taken))
+        runs.append((log, env.now, env.events_processed, taken))
+    (log, now, events, taken), (slow_log, slow_now, slow_events,
+                                slow_taken) = runs
+    assert (log, now, events) == (slow_log, slow_now, slow_events)
+    assert not any(slow_taken)
+    return log, taken
+
+
+def _acquire(env, resource, log, taken, name, hold=2.0):
+    """Process body: take (or wait for) one slot, hold it, release it."""
+    request = resource.request()
+    try:
+        taken.append(env.take(request))
+        if not taken[-1]:
+            yield request
+        log.append((name, "granted", env.now, request.processed))
+        yield env.timeout(hold)
+    finally:
+        resource.release(request)
+    log.append((name, "released", env.now))
+
+
+def test_take_consumes_an_uncontended_grant_in_place():
+    def scenario(env, log, taken):
+        resource = Resource(env)
+
+        def body():
+            yield env.timeout(1.0)
+            yield from _acquire(env, resource, log, taken, "a")
+
+        env.process(body())
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [True]
+    assert log == [("a", "granted", 1.0, True), ("a", "released", 3.0)]
+
+
+def test_take_declines_on_the_slow_path_and_under_a_tiebreak_seed(
+        monkeypatch):
+    def run(env):
+        resource = Resource(env)
+        log, taken = [], []
+
+        def body():
+            yield from _acquire(env, resource, log, taken, "a")
+
+        env.process(body())
+        env.run()
+        return log, taken, env.events_processed
+
+    fast = run(Environment())
+    slow = run(Environment(fastpath=False))
+    monkeypatch.setenv("REPRO_SANITIZE_TIEBREAK", "7")
+    perturbed = run(Environment())
+    assert fast[1] == [True]
+    assert slow[1] == perturbed[1] == [False]
+    assert fast[0] == slow[0] == perturbed[0]
+    assert fast[2] == slow[2] == perturbed[2]
+
+
+def test_take_declines_outside_a_process_step():
+    env = Environment()
+    resource = Resource(env)
+    request = resource.request()
+    assert env.take(request) is False
+    resource.release(request)
+    env.run()
+
+    def scenario(env, log, taken):
+        resource = Resource(env)
+
+        def callback(_event):
+            request = resource.request()
+            taken.append(env.take(request))
+            resource.release(request)
+            log.append(("callback", env.now))
+
+        event = env.timeout(1.0)
+        event._add_callback(callback)
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [False] and log == [("callback", 1.0)]
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["before", "after"])
+def test_take_declines_unless_the_grant_is_alone_in_the_immediate_deque(
+        first):
+    def scenario(env, log, taken):
+        resource = Resource(env)
+
+        def other(gate):
+            yield gate
+            log.append(("other", env.now))
+
+        def body():
+            yield env.timeout(1.0)
+            gate = env.event()
+            env.process(other(gate))
+            if first:
+                gate.succeed()
+            request = resource.request()
+            if not first:
+                gate.succeed()
+            try:
+                taken.append(env.take(request))
+                if not taken[-1]:
+                    yield request
+                log.append(("body", env.now))
+            finally:
+                resource.release(request)
+
+        env.process(body())
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [False]
+    # Whatever was queued first in the deque also runs first.
+    expected = [("other", 1.0), ("body", 1.0)]
+    assert log == (expected if first else expected[::-1])
+
+
+def test_take_declines_a_heap_entry_due_now():
+    def scenario(env, log, taken):
+        resource = Resource(env)
+
+        def body():
+            yield env.timeout(1.0)
+            yield from _acquire(env, resource, log, taken, "body")
+
+        def other():
+            yield env.timeout(1.0)   # scheduled after body's: due next
+            log.append(("other", env.now))
+
+        env.process(body())
+        env.process(other())
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [False]
+    # The due heap entry runs before the grant is dispatched.
+    assert log[:2] == [("other", 1.0), ("body", "granted", 1.0, True)]
+
+
+def test_take_declines_a_wakeup_shared_with_other_waiters():
+    def scenario(env, log, taken):
+        shared = env.timeout(1.0)
+
+        def waiter(name):
+            yield shared
+            yield from _acquire(env, Resource(env), log, taken, name)
+
+        env.process(waiter("a"))
+        env.process(waiter("b"))
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [False, False]
+    assert [entry[:2] for entry in log] == [
+        ("a", "granted"), ("b", "granted"), ("a", "released"),
+        ("b", "released")]
+
+
+def test_take_declines_a_failed_event_or_one_with_other_waiters():
+    def scenario(env, log, taken):
+        def body():
+            yield env.timeout(1.0)
+            failed = env.event()
+            failed.fail(RuntimeError("lost grant"))
+            taken.append(env.take(failed))
+            try:
+                if not taken[-1]:
+                    yield failed
+            except RuntimeError as error:
+                log.append(("raised", str(error), env.now))
+            watched = env.event()
+            both = env.all_of([watched])
+            watched.succeed("v")
+            taken.append(env.take(watched))
+            if not taken[-1]:
+                yield watched
+            log.append(("all_of", (yield both), env.now))
+
+        env.process(body())
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [False, False]
+    assert log == [("raised", "lost grant", 1.0), ("all_of", ["v"], 1.0)]
+
+
+def test_take_stays_within_the_run_deadline():
+    def scenario(env, log, taken):
+        resource = Resource(env)
+
+        def body():
+            yield env.timeout(4.0)
+            yield from _acquire(env, resource, log, taken, "a")
+
+        env.process(body())
+        return 4.0
+
+    log, taken = _on_both_paths(scenario)
+    # At exactly the deadline the loop would still dispatch the grant.
+    assert taken == [True]
+    assert log == [("a", "granted", 4.0, True)]
+
+
+def test_take_declines_during_the_dispatch_of_the_run_target():
+    def scenario(env, log, taken):
+        resource = Resource(env)
+        target = env.timeout(1.0)
+
+        def waiter():
+            yield target
+            yield from _acquire(env, resource, log, taken, "a")
+
+        env.process(waiter())
+        return target
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [False]
+    # The run ends with the target's dispatch; the grant stays queued.
+    assert log == []
+
+
+def test_a_queued_request_is_never_taken():
+    def scenario(env, log, taken):
+        resource = Resource(env)
+
+        def holder():
+            yield env.timeout(0.5)
+            yield from _acquire(env, resource, log, taken, "holder",
+                                hold=4.5)
+
+        def body():
+            yield env.timeout(1.0)
+            request = resource.request()
+            try:
+                log.append(("queued", request.triggered))
+                taken.append(env.take(request))
+                if not taken[-1]:
+                    yield request
+                log.append(("body", "granted", env.now))
+            finally:
+                resource.release(request)
+
+        env.process(holder())
+        env.process(body())
+
+    log, taken = _on_both_paths(scenario)
+    assert taken == [True, False]
+    assert ("queued", False) in log
+    assert ("body", "granted", 5.0) in log
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_each_take_counts_as_one_event(fastpath):
+    env = Environment(fastpath=fastpath)
+    resource = Resource(env)
+    log, taken = [], []
+
+    def body():
+        for index in range(10):
+            yield from _acquire(env, resource, log, taken, index, hold=1.5)
+
+    before = engine.events_processed_total()
+    env.process(body())
+    env.run()
+    # Bootstrap, ten grants and ten holds (in place or not), completion.
+    assert env.events_processed == 22
+    assert engine.events_processed_total() - before == 22
+    assert env.now == 15.0
+    assert taken == [fastpath] * 10
+
+
+@pytest.mark.parametrize("interrupt_at", [5.0, 3.0], ids=["tie", "earlier"])
+def test_interrupt_sent_while_a_grant_is_pending_lands_first(interrupt_at):
+    def scenario(env, log, taken):
+        resource = Resource(env)
+
+        def holder():
+            yield env.timeout(0.5)
+            yield from _acquire(env, resource, log, taken, "holder",
+                                hold=4.5)
+
+        def body():
+            yield env.timeout(1.0)
+            try:
+                yield from _acquire(env, resource, log, taken, "body")
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, env.now))
+
+        def later():
+            yield env.timeout(2.0)
+            yield from _acquire(env, resource, log, taken, "later")
+
+        def interrupter(target):
+            yield env.timeout(interrupt_at)
+            log.append(("interrupt", env.now))
+            target.interrupt(cause="stop")
+
+        env.process(holder())
+        target = env.process(body())
+        env.process(later())
+        env.process(interrupter(target))
+
+    log, taken = _on_both_paths(scenario)
+    assert taken[0] is True and not any(taken[1:])
+    first = next(entry for entry in log if entry[0] != "holder")
+    assert first == ("interrupt", interrupt_at)
+    assert ("interrupted", "stop", interrupt_at) in log
+    # The cancelled (or just granted) request passes the slot on to the
+    # next waiter when the holder releases it.
+    assert ("later", "granted", 5.0, True) in log

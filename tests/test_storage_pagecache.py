@@ -86,13 +86,29 @@ def test_drop_caches_forces_major_faults_again():
     assert was_major
 
 
-def test_buffered_read_returns_content():
+def test_buffered_read_charges_time_and_keeps_content():
+    # A timed read builds no bytes: it charges the device and page-cache
+    # time, caches the blocks it covered, and leaves the content to
+    # SimFile.read.
     env, _ssd, fs, cache = make_host()
     file = fs.create("data", 1 * MIB)
     payload = b"\x5a" * 10000
     file.write(777, payload)
-    _t, content = run(env, cache.read(file, 777, 10000))
-    assert content == payload
+    elapsed, value = run(env, cache.read(file, 777, 10000))
+    assert value is None
+    assert elapsed > 0
+    assert all(cache.is_cached(file, block) for block in range(3))
+    assert file.read(777, 10000) == payload
+
+
+def test_read_outside_the_file_is_rejected_before_any_time_passes():
+    env, _ssd, fs, cache = make_host()
+    file = fs.create("data", 1 * MIB)
+    for direct in (False, True):
+        with pytest.raises(ValueError, match="outside file"):
+            run(env, cache.read(file, MIB - PAGE_SIZE, 2 * PAGE_SIZE,
+                                direct=direct))
+    assert env.now == 0
 
 
 def test_buffered_reread_is_much_faster():
