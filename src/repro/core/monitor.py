@@ -94,16 +94,22 @@ class UffdMonitor:
         if self.memory_file.has_block(page):
             # §5.2.1: the monitor maps the guest memory file as a regular
             # virtual memory region, so its own access to the page is an
-            # mmap fault with the kernel's fault-around window.
-            was_major = yield from self.host.page_cache.fault_in(
-                self.memory_file, page)
-            extra = 0.0
+            # mmap fault with the kernel's fault-around window.  Served
+            # in place with the copy delay when nothing can tell.
+            page_cache = self.host.page_cache
+            copy_us = params.uffd_copy_us
+            was_major = page_cache.fault_in_place(
+                self.memory_file, page, copy_us + self.extra_fault_us,
+                copy_us)
+            if was_major is None:
+                was_major = yield from page_cache.fault_in(
+                    self.memory_file, page)
+                delay = copy_us + (self.extra_fault_us if was_major
+                                   else 0.0)
+                if not env.advance(delay):
+                    yield env.timeout(delay)
             if was_major:
                 self.major_faults += 1
-                extra = self.extra_fault_us
-            delay = params.uffd_copy_us + extra
-            if not env.advance(delay):
-                yield env.timeout(delay)
             payload = (self.memory_file.read_block(page)
                        if self._carries_content() else None)
             self.uffd.copy(page, payload)

@@ -42,7 +42,7 @@ from repro.storage.device import ReadKind
 from repro.vm.host import WorkerHost
 from repro.vm.microvm import MicroVM
 from repro.vm.snapshot import Snapshot
-from repro.vm.vcpu import FaultHandler
+from repro.vm.vcpu import FaultHandler, InlineFaultHandler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import FunctionReapState, ReapManager
@@ -102,6 +102,15 @@ class RestorePolicy(abc.ABC):
     def fault_handler(self, vm: MicroVM) -> Optional[FaultHandler]:
         """The vCPU's handler for missing pages during execution."""
 
+    def inline_fault_handler(
+            self, vm: MicroVM) -> Optional[InlineFaultHandler]:
+        """The vCPU's in-place handler, tried before :meth:`fault_handler`.
+
+        ``None`` (the default) when the faulting thread does not serve
+        its own faults, as under userfaultfd, where the monitor does.
+        """
+        return None
+
     def finish(self, vm: MicroVM) -> Generator[Event, Any,
                                                Optional[ReapArtifacts]]:
         """Post-invocation work (stop monitors, write record artifacts)."""
@@ -156,6 +165,31 @@ class VanillaPolicy(RestorePolicy):
             elif page not in written:
                 breakdown.zero_faults += 1
             install(page)
+
+        return handler
+
+    def inline_fault_handler(self, vm: MicroVM) -> InlineFaultHandler:
+        page_cache = self.host.page_cache
+        memory_file = vm.memory.backing_file
+        breakdown = self.breakdown
+        fault_cpu_us = self.snapshot.profile.fault_cpu_us
+        # The generator path spends the CPU cost only when it is > 0.
+        major_tail = fault_cpu_us if fault_cpu_us > 0.0 else None
+        fault_in_place = page_cache.fault_in_place
+        written = memory_file._written_blocks
+        install = vm.memory.install
+
+        def handler(page: int) -> bool:
+            was_major = fault_in_place(memory_file, page, major_tail)
+            if was_major is None:
+                return False
+            breakdown.demand_faults += 1
+            if was_major:
+                breakdown.major_faults += 1
+            elif page not in written:
+                breakdown.zero_faults += 1
+            install(page)
+            return True
 
         return handler
 

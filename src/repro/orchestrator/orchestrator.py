@@ -58,6 +58,7 @@ from repro.vm.boot import boot_microvm
 from repro.vm.host import WorkerHost
 from repro.vm.microvm import MicroVM, VmState
 from repro.vm.snapshot import Snapshot, SnapshotStore
+from repro.vm.vcpu import FaultHandler, InlineFaultHandler
 
 
 @dataclass
@@ -292,10 +293,10 @@ class Orchestrator:
                         args={"function": name,
                               "invocation": invocation}) as warm:
                 # Connection already alive: no handshake, no restore work.
-                yield from self._process(
-                    entry, vm, trace,
-                    self._anonymous_fault_handler(vm, breakdown),
-                    breakdown, warm.lane)
+                handler, inline = self._anonymous_fault_handlers(
+                    vm, breakdown)
+                yield from self._process(entry, vm, trace, handler, inline,
+                                         breakdown, warm.lane)
             vm.invocations_served += 1
             result = InvocationResult(
                 function=name, invocation=invocation, mode="warm",
@@ -324,7 +325,9 @@ class Orchestrator:
         return evicted
 
     def _process(self, entry: DeployedFunction, vm: MicroVM,
-                 trace: AccessTrace, handler, breakdown: LatencyBreakdown,
+                 trace: AccessTrace, handler: FaultHandler,
+                 inline: InlineFaultHandler | None,
+                 breakdown: LatencyBreakdown,
                  lane: str | None) -> Generator[Event, Any, None]:
         """Function processing: S3 input fetch, then handler execution."""
         with _Phase(self, "processing", lane, breakdown, "processing_us"):
@@ -334,21 +337,33 @@ class Orchestrator:
             compute_us = max(trace.processing_compute_us - s3_us, 0.0)
             yield from vm.vcpu.execute_phase(
                 vm.memory, trace.processing_pages, compute_us, handler,
-                obs_lane=lane, obs_proc=self.obs_proc)
+                obs_lane=lane, obs_proc=self.obs_proc,
+                inline_handler=inline)
 
-    def _anonymous_fault_handler(self, vm: MicroVM,
-                                 breakdown: LatencyBreakdown):
+    def _anonymous_fault_handlers(
+            self, vm: MicroVM, breakdown: LatencyBreakdown,
+    ) -> tuple[FaultHandler, InlineFaultHandler]:
+        """The warm path's zero-fill fault handler and its inline form."""
         anon_fault_us = self.host.params.anon_fault_us
         env = self.env
+        install = vm.memory.install
 
         def handler(page: int) -> Generator[Event, Any, None]:
             breakdown.demand_faults += 1
             breakdown.zero_faults += 1
             if not env.advance(anon_fault_us):
                 yield env.timeout(anon_fault_us)
-            vm.memory.install(page, verify=False)
+            install(page, verify=False)
 
-        return handler
+        def inline(page: int) -> bool:
+            if not env.advance(anon_fault_us):
+                return False
+            breakdown.demand_faults += 1
+            breakdown.zero_faults += 1
+            install(page, verify=False)
+            return True
+
+        return handler, inline
 
     # -- cold path ---------------------------------------------------------------
 
@@ -381,13 +396,14 @@ class Orchestrator:
             pinned: list = []
             try:
                 # 1-3. Load VMM, prepare, connection restoration.
-                vm, policy, trace, handler = yield from self._restore(
-                    entry, policy_cls, breakdown, lane, pinned,
-                    invocation=invocation, forced=mode is not None)
+                vm, policy, trace, handler, inline = yield from (
+                    self._restore(entry, policy_cls, breakdown, lane,
+                                  pinned, invocation=invocation,
+                                  forced=mode is not None))
                 try:
                     # 4. Function processing (S3 input + handler).
                     yield from self._process(entry, vm, trace, handler,
-                                             breakdown, lane)
+                                             inline, breakdown, lane)
                     # 5. Finalize (record artifacts; mispredictions).
                     with _Phase(self, "finalize", lane, breakdown,
                                 "finalize_us", cat="restore"):
@@ -439,7 +455,8 @@ class Orchestrator:
         recorded artifacts are unreachable or were invalidated meanwhile.
         ``invocation=None`` restores speculatively: the next
         invocation's trace is peeked, not consumed, and the restore
-        never records.  Returns ``(vm, policy, trace, handler)``; on
+        never records.  Returns ``(vm, policy, trace, handler, inline)``
+        (the policy's fault handler and its inline form); on
         failure the instance is torn down before the error propagates.
         """
         name = entry.profile.name
@@ -508,6 +525,7 @@ class Orchestrator:
                     "prefetched": breakdown.prefetched_pages}
             vm.transition(VmState.RUNNING)
             handler = policy.fault_handler(vm)
+            inline = policy.inline_fault_handler(vm)
 
             # 3. Connection restoration (handshake + guest infra pages).
             with _Phase(self, "connection", lane, breakdown,
@@ -516,12 +534,13 @@ class Orchestrator:
                 yield from vm.vcpu.execute_phase(
                     vm.memory, trace.connection_pages,
                     trace.connection_compute_us, handler,
-                    obs_lane=lane, obs_proc=self.obs_proc)
+                    obs_lane=lane, obs_proc=self.obs_proc,
+                    inline_handler=inline)
                 vm.connected = True
         except BaseException:
             self._teardown_instance(WarmInstance(vm=vm, policy=policy))
             raise
-        return vm, policy, trace, handler
+        return vm, policy, trace, handler, inline
 
     def _auto_policy(self, name: str) -> type[RestorePolicy]:
         """Automatic restore-policy selection (REAP, then the layer)."""
@@ -556,7 +575,7 @@ class Orchestrator:
                           "mode": policy_cls.name}) as span:
             pinned: list = []
             try:
-                vm, policy, _trace, _handler = yield from self._restore(
+                vm, policy, *_unused = yield from self._restore(
                     entry, policy_cls, breakdown, span.lane, pinned)
                 try:
                     with _Phase(self, "finalize", span.lane, breakdown,

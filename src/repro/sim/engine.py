@@ -48,7 +48,11 @@ overhead minimal:
   advance" in ``docs/performance.md``);
 * :meth:`Environment.take` consumes an uncontended resource grant in
   place under the same rules, so a device request that finds a free
-  slot costs no loop iteration and no resume either.
+  slot costs no loop iteration and no resume either;
+* :meth:`Environment.advance_to` moves the clock over a whole chain of
+  such steps at once, so a demand fault nothing else can observe is
+  served by plain synchronous code (see "Faults served in place" in
+  ``docs/performance.md``).
 
 Setting ``fastpath=False`` on :class:`Environment` (or exporting
 ``REPRO_ENGINE_SLOWPATH=1``) routes every occurrence through the
@@ -328,7 +332,14 @@ class Process(Event):
         wake._triggered = True
         wake._exception = Interrupt(cause)
         wake._defused = True
-        self._waiting_on = None
+        # A process suspended on a target now waits on the wake instead,
+        # so a target due at the same timestamp (queued earlier, so
+        # dispatched first) is dropped as stale and cannot resume it
+        # ahead of the interrupt.  A pending interrupt keeps its place.
+        waiting = self._waiting_on
+        if waiting is not None and not isinstance(waiting._exception,
+                                                  Interrupt):
+            self._waiting_on = wake
         wake._cb = self
         if env._fastpath:
             env._immediate.append(wake)
@@ -503,6 +514,38 @@ class Environment:
             return False
         self._now = when
         self._advanced += 1
+        return True
+
+    def advance_to(self, when: float, events: int) -> bool:
+        """Move the clock to ``when`` in place as ``events`` serial steps.
+
+        The in-place form of a chain of :meth:`advance` and :meth:`take`
+        steps that one process would make back to back, each right after
+        the previous one, ending at ``when``.  The caller computes
+        ``when`` by the same float additions the steps would make, and
+        commits the chain's side effects only when this returns ``True``
+        (clock moved, ``events`` events counted); on ``False`` nothing
+        moved, and the caller runs the steps themselves.
+
+        The conditions are :meth:`advance`'s, checked once against
+        ``when``: the caller is in a process step woken by an event with
+        no further callbacks, the immediate deque is empty, every heap
+        entry is strictly later than ``when``, and ``when`` is within the
+        deadline of the running :meth:`run`.  Each holds at every time
+        the chain passes through if it holds at its end (a take sees its
+        own grant as the only queued item, and nothing else is queued or
+        due before ``when``), so every step of the chain would have been
+        taken in place.  Always ``False`` on the slow path.
+        """
+        if (self._active_process is None or self._immediate
+                or self._waker._cbs
+                or not self._now <= when <= self._deadline):
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        self._now = when
+        self._advanced += events
         return True
 
     def take(self, event: Event) -> bool:

@@ -71,6 +71,15 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
+    @property
+    def available(self) -> bool:
+        """Whether a request made now would be granted at once.
+
+        A queued request implies a full resource (a release grants the
+        queue head at once), so a free slot is the whole test.
+        """
+        return len(self._users) < self.capacity
+
     def request(self) -> Request:
         """Request a slot; the returned event fires when granted."""
         # Allocate without type.__call__ (one Request per device I/O).
@@ -108,6 +117,10 @@ class Resource:
         """Release a previously granted slot."""
         if request in self._users:
             self._users.discard(request)
+            # A grant carries itself as its value; drop that self-cycle so
+            # the request dies by refcount (the loop runs with the cyclic
+            # collector off).
+            request._value = None
             self._grant()
         else:
             # Releasing an ungranted request cancels it.
@@ -173,6 +186,7 @@ class PriorityResource(Resource):
     def release(self, request: Request) -> None:
         if request in self._users:
             self._users.discard(request)
+            request._value = None  # see Resource.release
             self._grant()
         else:
             self._pqueue = [entry for entry in self._pqueue

@@ -83,8 +83,10 @@ class DeviceStats:
 
     def record(self, request: IoRequest, now: float) -> None:
         """Account one completed request at simulated time ``now``."""
-        nbytes = request.nbytes
-        kind = request.kind
+        self.record_io(request.nbytes, request.kind, now)
+
+    def record_io(self, nbytes: int, kind: ReadKind, now: float) -> None:
+        """Account one completed transfer of ``nbytes`` at ``now``."""
         if kind is ReadKind.WRITE:
             self.write_bytes += nbytes
             self.write_requests += 1
@@ -149,4 +151,27 @@ class BlockDevice(Protocol):
 
     def write(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Serve a write."""
+        ...
+
+    def uncontended_read_end(self, start: float,
+                             nbytes: int) -> tuple[float, int] | None:
+        """When a read started at ``start`` would end, if it waits for nothing.
+
+        Returns ``(end, steps)``: the completion time of an ``nbytes``
+        read that finds every slot it needs free, computed by the same
+        float additions :meth:`read` makes, and the number of in-place
+        steps (grant takes and clock advances) it would take.  ``None``
+        when the device cannot tell without running the read (a busy
+        slot, or a path with state of its own).  Pure: changes nothing.
+        """
+        ...
+
+    def commit_read(self, nbytes: int, kind: ReadKind, when: float) -> None:
+        """Account a read answered by :meth:`uncontended_read_end`.
+
+        Records exactly the statistics :meth:`read` would have recorded
+        on this device and the devices under it, at completion ``when``.
+        Called only after an answer, so a device that never answers need
+        not define it.
+        """
         ...

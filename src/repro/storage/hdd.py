@@ -57,6 +57,11 @@ class HddDevice:
         yield from self._serve(request, self._bytes_per_us)
         self.stats.record(request, self.env.now)
 
+    def uncontended_read_end(self, start: float,
+                             nbytes: int) -> tuple[float, int] | None:
+        """Never answers: a read's seek depends on the head position."""
+        return None
+
     def write(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Serve a write request."""
         yield from self._serve(request, self._write_bytes_per_us)

@@ -17,6 +17,14 @@ Three read paths matter to the paper, and all three live here:
   REAP uses, which skips the cache and its per-page costs and reaches
   533 MB/s.
 
+:meth:`HostPageCache.fault_in_place` is the synchronous form of the fault
+path: when no other process could observe a fault's service (a hit, a
+hole, or a major fault whose read would wait for nothing), it serves the
+fault and the caller's tail step with one in-place clock move
+(:meth:`Environment.advance_to`) and the same bookkeeping as
+:meth:`fault_in`; otherwise it changes nothing and the caller drives
+:meth:`fault_in`.
+
 ``drop_caches`` models the paper's methodology of flushing the host page
 cache before every cold invocation (§4.1).
 
@@ -77,6 +85,8 @@ class HostPageCache:
         self._readahead: dict[int, tuple[int, int]] = {}
         self.hits = 0
         self.misses = 0
+        #: Bytes of an unclipped major-fault window.
+        self._full_window_bytes = self.params.mmap_readahead_pages * PAGE_SIZE
 
     # -- cache bookkeeping -------------------------------------------------
 
@@ -126,6 +136,30 @@ class HostPageCache:
             return self.params.hit_us
         return None
 
+    def _fault_window(self, file: SimFile, block: int) -> tuple[int, int]:
+        """The read window of a major fault on ``block``.
+
+        A forward window of up to ``mmap_readahead_pages`` written,
+        uncached blocks starting at the faulting one, clipped at the end
+        of the file.  Returns its end block (exclusive) and its bytes.
+        """
+        cached = self._cached
+        written = file._written_blocks
+        last_block = (file.size - 1) // PAGE_SIZE
+        file_id = file.file_id
+        version = file.version
+        window_end = block + 1
+        for candidate in range(block + 1,
+                               block + self.params.mmap_readahead_pages):
+            if (candidate > last_block
+                    or (file_id, version, candidate) in cached
+                    or candidate not in written):
+                break
+            window_end = candidate + 1
+        offset = block * PAGE_SIZE
+        return window_end, min((window_end - block) * PAGE_SIZE,
+                               file.size - offset)
+
     def fault_in(self, file: SimFile,
                  block: int) -> Generator[Event, Any, bool]:
         """Serve a first-touch fault on a file-backed mapping.
@@ -159,27 +193,14 @@ class HostPageCache:
             if not env.advance(cost):
                 yield env.timeout(cost)
             return False
-        # Plan the readahead window and issue the device I/O inline
-        # (this path runs once per major fault; the former
-        # _plan_fault_window/_device_read delegation frames are fused).
-        last_block = (file.size - 1) // PAGE_SIZE
-        file_id = file.file_id
-        version = file.version
-        window_end = block + 1
-        for candidate in range(block + 1,
-                               block + params.mmap_readahead_pages):
-            if (candidate > last_block
-                    or (file_id, version, candidate) in cached
-                    or candidate not in written):
-                break
-            window_end = candidate + 1
+        window_end, nbytes = self._fault_window(file, block)
         n_blocks = window_end - block
-        offset = block * PAGE_SIZE
-        nbytes = min(n_blocks * PAGE_SIZE, file.size - offset)
         device = file.device
-        for lba, length in file.device_ranges(offset, nbytes):
+        for lba, length in file.device_ranges(block * PAGE_SIZE, nbytes):
             yield from device.read(
                 IoRequest(lba=lba, nbytes=length, kind=ReadKind.DEMAND_FAULT))
+        file_id = file.file_id
+        version = file.version
         for index in range(block, window_end):
             cached[(file_id, version, index)] = None
         while len(cached) > params.capacity_pages:
@@ -188,6 +209,92 @@ class HostPageCache:
                 + params.insert_us * n_blocks)
         if not env.advance(cost):
             yield env.timeout(cost)
+        return True
+
+    def fault_in_place(self, file: SimFile, block: int,
+                       major_tail: float | None = None,
+                       minor_tail: float | None = None) -> bool | None:
+        """Serve a fault as plain synchronous code, if nothing can tell.
+
+        The synchronous form of :meth:`fault_in` followed by the
+        caller's own tail step (a clock advance of ``major_tail`` after
+        a major fault, of ``minor_tail`` after a hit or a hole; ``None``
+        for no step).  It covers a hit, a hole, and a major fault whose
+        window is one device range on a device that can answer
+        ``uncontended_read_end``.  The whole chain must pass
+        :meth:`Environment.advance_to` at its end time, counting the
+        events the generator path would: one for a hit or a hole, the
+        device's steps plus one for a major fault, plus one for a tail.
+        Then it leaves the LRU order, ``hits``/``misses`` and the device
+        statistics exactly as :meth:`fault_in` would and returns whether
+        the fault was major.  Otherwise it changes nothing and returns
+        ``None``, and the caller drives :meth:`fault_in` instead.
+        """
+        cached = self._cached
+        params = self.params
+        env = self.env
+        file_id = file.file_id
+        version = file.version
+        key = (file_id, version, block)
+        # The clock is read from its slot: this runs once per fault.
+        if key in cached:
+            when = env._now + params.hit_us
+            events = 1
+            if minor_tail is not None:
+                when += minor_tail
+                events = 2
+            if not env.advance_to(when, events):
+                return None
+            self.hits += 1
+            cached.move_to_end(key)
+            return False
+        written = file._written_blocks
+        if block not in written:
+            when = env._now + (params.major_fault_us + params.insert_us)
+            events = 1
+            if minor_tail is not None:
+                when += minor_tail
+                events = 2
+            if not env.advance_to(when, events):
+                return None
+            self.misses += 1
+            cached[key] = None
+            if len(cached) > params.capacity_pages:
+                cached.popitem(last=False)
+            return False
+        # Ask the device about a full window first: one that is busy or
+        # never answers declines before the window is planned, and a
+        # window that is not clipped needs no second query.
+        device = file.device
+        start = env._now
+        full = self._full_window_bytes
+        answer = device.uncontended_read_end(start, full)
+        if answer is None:
+            return None
+        window_end, nbytes = self._fault_window(file, block)
+        n_blocks = window_end - block
+        ranges = file.device_ranges(block * PAGE_SIZE, nbytes)
+        if len(ranges) != 1:
+            return None
+        length = ranges[0][1]
+        if length != full:
+            answer = device.uncontended_read_end(start, length)
+            if answer is None:
+                return None
+        end, events = answer
+        when = end + (params.major_fault_us + params.insert_us * n_blocks)
+        events += 1
+        if major_tail is not None:
+            when += major_tail
+            events += 1
+        if not env.advance_to(when, events):
+            return None
+        device.commit_read(length, ReadKind.DEMAND_FAULT, end)
+        self.misses += 1
+        for index in range(block, window_end):
+            cached[(file_id, version, index)] = None
+        while len(cached) > params.capacity_pages:
+            cached.popitem(last=False)
         return True
 
     # -- read(2) path --------------------------------------------------------

@@ -96,6 +96,11 @@ class RemoteDevice:
         yield from self._round_trip(request, self.backing.read)
         self.stats.record(request, self.env.now)
 
+    def uncontended_read_end(self, start: float,
+                             nbytes: int) -> tuple[float, int] | None:
+        """Never answers: outages, spikes and the shared link decide."""
+        return None
+
     def write(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Push a range to the remote service."""
         yield from self._round_trip(request, self.backing.write)

@@ -28,7 +28,7 @@ from typing import Any, Generator
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.sim.units import KIB, mbps_to_bytes_per_us
-from repro.storage.device import DeviceStats, IoRequest
+from repro.storage.device import DeviceStats, IoRequest, ReadKind
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,28 @@ class SsdDevice:
         else:
             yield from self._streamed(request, self._seq_bytes_per_us)
         self.stats.record(request, self.env.now)
+
+    def uncontended_read_end(self, start: float,
+                             nbytes: int) -> tuple[float, int] | None:
+        """End and step count of a random read that queues nowhere.
+
+        Answers only for the random path with the controller and a
+        channel free: controller hold, then channel hold, as in
+        :meth:`read` (a take and an advance each).  A streamed read
+        declines.
+        """
+        params = self.params
+        if (nbytes > params.random_threshold_bytes
+                or not self._controller.available
+                or not self._channels.available):
+            return None
+        end = start + params.controller_us
+        end += params.flash_read_us + nbytes / self._link_bytes_per_us
+        return end, 4
+
+    def commit_read(self, nbytes: int, kind: ReadKind, when: float) -> None:
+        """Record a read answered by :meth:`uncontended_read_end`."""
+        self.stats.record_io(nbytes, kind, when)
 
     def write(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Serve a write request."""

@@ -24,7 +24,7 @@ from typing import Any, Generator
 
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
-from repro.storage.device import BlockDevice, DeviceStats, IoRequest
+from repro.storage.device import BlockDevice, DeviceStats, IoRequest, ReadKind
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,27 @@ class ThinPoolDevice:
         finally:
             self._slots.release(grant)
         self.stats.record(request, self.env.now)
+
+    def uncontended_read_end(self, start: float,
+                             nbytes: int) -> tuple[float, int] | None:
+        """End and step count of a read that queues nowhere.
+
+        Needs a free slot (a take and the mapping advance), then asks
+        the backing device from the end of the mapping delay.
+        """
+        if not self._slots.available:
+            return None
+        answer = self.backing.uncontended_read_end(
+            start + self.params.mapping_overhead_us, nbytes)
+        if answer is None:
+            return None
+        end, steps = answer
+        return end, steps + 2
+
+    def commit_read(self, nbytes: int, kind: ReadKind, when: float) -> None:
+        """Record a read answered by :meth:`uncontended_read_end`."""
+        self.backing.commit_read(nbytes, kind, when)
+        self.stats.record_io(nbytes, kind, when)
 
     def write(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Serve a write through the pool's limited queue."""

@@ -8,6 +8,14 @@ userfaultfd wait for REAP-managed instances.  This serialization of page
 faults with execution is precisely the §4.2 pathology: "page faults are
 processed serially because the faulting thread is halted".
 
+A policy whose faults are served by the faulting thread itself (vanilla,
+and the anonymous warm path) also supplies an *inline* handler: the vCPU
+tries it first, and it serves the fault in place when nothing else could
+observe its service (see "Faults served in place" in
+``docs/performance.md``).  The generator handler runs only when it
+declines.  A uffd policy supplies none: another process, the monitor,
+serves its faults.
+
 Guest compute is spread evenly across the phase's accesses, so a phase
 with all pages resident takes exactly its warm duration.
 """
@@ -21,6 +29,11 @@ from repro.sim.engine import Environment, Event
 
 #: A fault handler resolves one missing page; driven with ``yield from``.
 FaultHandler = Callable[[int], Generator[Event, Any, None]]
+#: Resolves one missing page as plain synchronous code when no other
+#: process could observe its service; returns ``False``, having changed
+#: nothing, when it cannot, and the vCPU then drives the
+#: :data:`FaultHandler`.
+InlineFaultHandler = Callable[[int], bool]
 
 
 class VCpu:
@@ -35,12 +48,15 @@ class VCpu:
                       fault_handler: FaultHandler | None,
                       obs_lane: Optional[str] = None,
                       obs_proc: str = "worker0",
+                      inline_handler: InlineFaultHandler | None = None,
                       ) -> Generator[Event, Any, None]:
         """Run one invocation phase.
 
         ``pages`` is the phase's first-touch sequence; ``compute_us`` the
         guest compute budget for the phase.  ``fault_handler`` resolves
         missing pages; ``None`` asserts that none can occur (warm path).
+        ``inline_handler``, when given, is tried first for each missing
+        page, and ``fault_handler`` runs only when it declines.
         ``obs_lane``/``obs_proc`` name the trace lane for fault-window
         spans when the span tracer is installed.
         """
@@ -96,7 +112,8 @@ class VCpu:
                     window_faults = 0
                 window_faults += 1
             self.faults_taken += 1
-            yield from fault_handler(page)
+            if inline_handler is None or not inline_handler(page):
+                yield from fault_handler(page)
         if window is not None:
             tracer.end(window, env.now, args={"faults": window_faults})
         if per_access and since > 0.0 and not advance(since):

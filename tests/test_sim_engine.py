@@ -445,6 +445,57 @@ def test_interrupt_races_wait_target_at_same_timestamp():
     assert len(log) == 1
 
 
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_interrupt_wins_over_a_wait_target_due_at_the_same_time(fastpath):
+    # The interrupter's sleep was queued first, so at t=5 it sends the
+    # interrupt while the sleeper's own timeout is still due: the sleeper
+    # must see the interrupt, and its timeout must be dropped as stale.
+    env = Environment(fastpath=fastpath)
+    log = []
+
+    def sleeper():
+        try:
+            value = yield env.timeout(5, value="slept")
+            log.append(("value", value, env.now))
+        except Interrupt as interrupt:
+            log.append(("interrupt", interrupt.cause, env.now))
+            yield env.timeout(1)
+            log.append(("resumed", env.now))
+
+    def interrupter():
+        yield env.timeout(5)
+        target.interrupt(cause="now")
+
+    env.process(interrupter())
+    target = env.process(sleeper())
+    env.run()
+    assert log == [("interrupt", "now", 5), ("resumed", 6)]
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_the_first_of_two_interrupts_sent_together_wins(fastpath):
+    env = Environment(fastpath=fastpath)
+    log = []
+
+    def sleeper():
+        try:
+            yield env.timeout(10)
+        except Interrupt as interrupt:
+            log.append((interrupt.cause, env.now))
+            yield env.timeout(1)
+            log.append(("resumed", env.now))
+
+    def interrupter():
+        yield env.timeout(5)
+        target.interrupt(cause="first")
+        target.interrupt(cause="second")
+
+    target = env.process(sleeper())
+    env.process(interrupter())
+    env.run()
+    assert log == [("first", 5), ("resumed", 6)]
+
+
 def test_interrupt_before_wait_target_fires():
     env = Environment()
     log = []
@@ -785,6 +836,118 @@ def test_advance_declines_a_negative_delay():
     env.process(body())
     env.run()
     assert seen == [False] and env.now == 2.0
+
+
+# -- in-place chain advance ---------------------------------------------------
+
+
+def _chain(env, resource, steps):
+    """The step-by-step form of a chain: a take and a hold per grant."""
+    for delay in steps:
+        grant = resource.request()
+        try:
+            if not env.take(grant):
+                yield grant
+            if not env.advance(delay):
+                yield env.timeout(delay)
+        finally:
+            resource.release(grant)
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_advance_to_counts_a_chain_like_its_steps(fastpath):
+    steps = (0.1, 11.5, 108.0 + 4096 / 550.0)
+    runs, seen = [], []
+    for in_place in (True, False):
+        env = Environment(fastpath=fastpath)
+        resource = Resource(env)
+
+        def body():
+            yield env.timeout(1.0)
+            if in_place:
+                when = env.now
+                for delay in steps:
+                    when += delay
+                seen.append(env.advance_to(when, 2 * len(steps)))
+                if seen[-1]:
+                    return
+            yield from _chain(env, resource, steps)
+
+        env.process(body())
+        env.run()
+        runs.append((env.now, env.events_processed, resource.count))
+    assert runs[0] == runs[1]
+    assert seen == [fastpath]
+
+
+def test_advance_to_declines_a_heap_entry_due_by_its_end():
+    env = Environment()
+    seen = []
+
+    def other():
+        yield env.timeout(10.0)
+
+    def body():
+        yield env.timeout(1.0)
+        seen.append(env.advance_to(10.0, 3))   # ties the heap head
+        seen.append(env.advance_to(11.0, 3))   # the head is earlier
+        seen.append(env.advance_to(9.5, 3))    # strictly earlier: moves
+        seen.append(env.now)
+
+    env.process(other())
+    before = env.events_processed
+    env.process(body())
+    env.run()
+    assert seen == [False, False, True, 9.5]
+    # Two bootstraps, two timeouts, two completions and the chain.
+    assert env.events_processed - before == 6 + 3
+
+
+def test_advance_to_declines_what_advance_declines(monkeypatch):
+    env = Environment()
+    assert env.advance_to(1.0, 2) is False        # outside a process
+    seen = []
+
+    def busy():
+        yield env.timeout(1.0)
+        gate = env.event()
+        gate.succeed()
+        seen.append(env.advance_to(2.0, 2))       # immediate deque busy
+        yield gate
+        seen.append(env.advance_to(0.5, 2))       # earlier than now
+        seen.append(env.advance_to(5.0, 2))       # past until=4.0
+        seen.append(env.advance_to(4.0, 2))       # exactly the deadline
+
+    env.process(busy())
+    env.run(until=4.0)
+    assert seen == [False, False, False, True] and env.now == 4.0
+
+    shared = Environment()
+    wake = shared.timeout(1.0)
+    seen.clear()
+
+    def waiter():
+        yield wake
+        seen.append(shared.advance_to(2.0, 2))
+
+    shared.process(waiter())
+    shared.process(waiter())
+    shared.run()
+    assert seen == [False, False]
+
+    def body(env):
+        seen.append(env.advance_to(1.0, 2))
+        yield env.timeout(1.0)
+
+    seen.clear()
+    slow = Environment(fastpath=False)
+    slow.process(body(slow))
+    slow.run()
+    monkeypatch.setenv("REPRO_SANITIZE_TIEBREAK", "7")
+    perturbed = Environment()
+    perturbed.process(body(perturbed))
+    perturbed.run()
+    assert seen == [False, False]
 
 
 @pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])

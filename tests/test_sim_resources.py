@@ -1,5 +1,7 @@
 """Unit tests for simulation resources (FIFO, priority, store)."""
 
+import gc
+
 import pytest
 
 from repro.sim import Environment, PriorityResource, Resource, Store
@@ -223,3 +225,35 @@ def test_store_cancel_get_removes_waiter():
     # Item sat in the store because the only getter was cancelled.
     assert delivered == [1]
     assert store.get_nowait() == "item"
+
+
+@pytest.mark.parametrize("resource_class", [Resource, PriorityResource])
+def test_released_grants_leave_no_cyclic_garbage(resource_class):
+    # The event loop runs with the cyclic collector off, so a request
+    # kept alive by a reference cycle would stay in memory until the run
+    # returns.  Released grants must die by refcount alone.
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        resource = resource_class(env, capacity=1)
+
+        def user(hold):
+            for _ in range(20):
+                yield from resource.acquire(hold)
+
+        env.process(user(1.0))    # contended: the two users queue
+        env.process(user(2.0))
+        env.run()
+        assert resource.count == 0
+
+        def alone():
+            for _ in range(20):    # uncontended: granted at once
+                yield from resource.acquire(1.0)
+
+        env.process(alone())
+        env.run()
+        del env, resource
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,14 +1,19 @@
 """Tests for the host page cache: fault path, buffered reads, O_DIRECT."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim import Environment
 from repro.sim.units import MIB, PAGE_SIZE
 from repro.storage import (
     Filesystem,
+    HddDevice,
     HostPageCache,
     PageCacheParameters,
+    RemoteDevice,
     SsdDevice,
+    ThinPoolDevice,
 )
 
 
@@ -175,3 +180,248 @@ def test_hit_miss_counters():
     run(env, cache.fault_in(file, 0))
     assert cache.misses == 1
     assert cache.hits == 1
+
+
+# -- faults served in place ------------------------------------------------------
+#
+# ``fault_in_place`` must be indistinguishable from driving ``fault_in``
+# and then the caller's tail step: same clock, same event count, same
+# LRU order, counters and device statistics.  When it cannot promise
+# that, it must decline having touched nothing.
+
+#: Far beyond any fault chain: a holder's sleep that never interferes.
+_LONG_US = 1e9
+#: A tail the uffd monitor takes (UFFDIO_COPY) and a calibrated
+#: per-major-fault CPU cost, as the policies pass them.
+_COPY_US = 14.0
+_CPU_US = 25.0
+
+
+def fault_world(device="thinpool", size=64 * PAGE_SIZE, holes=(),
+                fragment_bytes=None, fastpath=True):
+    env = Environment(fastpath=fastpath)
+    ssd = SsdDevice(env)
+    pool = ThinPoolDevice(env, ssd)
+    target = {"thinpool": lambda: pool, "ssd": lambda: ssd,
+              "hdd": lambda: HddDevice(env),
+              "remote": lambda: RemoteDevice(env, ssd)}[device]()
+    file = Filesystem(ssd).create("mem", size, device=target,
+                                  fragment_bytes=fragment_bytes)
+    file.mark_written_blocks(block for block in range(file.block_count)
+                             if block not in holes)
+    return SimpleNamespace(env=env, ssd=ssd, pool=pool, file=file,
+                           cache=HostPageCache(env))
+
+
+def lru_order(cache):
+    """The cached blocks in LRU order (file ids differ between worlds)."""
+    return [(version, block) for _file, version, block in cache._cached]
+
+
+def world_state(world):
+    """Everything a fault may change, outside a run."""
+    return (world.env.now, world.env.events_processed,
+            lru_order(world.cache), world.cache.hits, world.cache.misses,
+            world.pool.stats.to_dict(), world.ssd.stats.to_dict(),
+            world.file.device.stats.to_dict())
+
+
+def live_state(world):
+    """Everything a fault may change, inside a process step."""
+    env = world.env
+    return (env.now, env._advanced, list(env._immediate), list(env._heap),
+            lru_order(world.cache), world.cache.hits, world.cache.misses,
+            world.pool.stats.to_dict(), world.ssd.stats.to_dict(),
+            world.file.device.stats.to_dict(),
+            world.pool._slots.count, world.ssd._controller.count,
+            world.ssd._channels.count)
+
+
+def serve(world, block, tails=(None, None), in_place=True, prelude=None):
+    """Fault ``block`` from a fresh process, then take the tail step.
+
+    With ``in_place``, try ``fault_in_place`` first and fall back to the
+    generator path on a decline, checking that the decline changed
+    nothing.  Returns ``fault_in_place``'s answer (``None`` without
+    ``in_place``).
+    """
+    env, cache = world.env, world.cache
+    major_tail, minor_tail = tails
+    answers = []
+
+    def body():
+        if prelude is not None:
+            yield from prelude(world)
+        if in_place:
+            before = live_state(world)
+            answer = cache.fault_in_place(world.file, block, major_tail,
+                                          minor_tail)
+            answers.append(answer)
+            if answer is not None:
+                return
+            assert live_state(world) == before
+        was_major = yield from cache.fault_in(world.file, block)
+        tail = major_tail if was_major else minor_tail
+        if tail is not None and not env.advance(tail):
+            yield env.timeout(tail)
+
+    env.run(until=env.process(body()))
+    return answers[0] if answers else None
+
+
+def warm(world, *blocks):
+    for block in blocks:
+        serve(world, block, in_place=False)
+
+
+_TAILS = {
+    "none": (None, None),
+    "vanilla_cpu": (_CPU_US, None),
+    "monitor": (_COPY_US, _COPY_US),
+    "monitor_cpu": (_COPY_US + _CPU_US, _COPY_US),
+}
+
+#: (world keywords, pages faulted first, faulting block, major?)
+_ACCEPTED = {
+    "hit": ({}, (8,), 9, False),
+    "hole": ({"holes": (20,)}, (), 20, False),
+    "window4": ({}, (), 0, True),
+    "window3_hole": ({"holes": (33,)}, (), 30, True),
+    "window2_cached": ({}, (12,), 10, True),
+    "window1_hole": ({"holes": (31,)}, (), 30, True),
+    "window2_eof": ({"size": 10 * PAGE_SIZE + 100}, (), 9, True),
+    "raw_ssd": ({"device": "ssd"}, (), 0, True),
+}
+
+
+@pytest.mark.parametrize("tails", sorted(_TAILS))
+@pytest.mark.parametrize("case", sorted(_ACCEPTED))
+def test_fault_in_place_matches_generator_path(case, tails):
+    kwargs, warmed, block, major = _ACCEPTED[case]
+    served, driven = fault_world(**kwargs), fault_world(**kwargs)
+    warm(served, *warmed)
+    warm(driven, *warmed)
+    assert world_state(served) == world_state(driven)
+    assert serve(served, block, _TAILS[tails]) is major
+    serve(driven, block, _TAILS[tails], in_place=False)
+    assert world_state(served) == world_state(driven)
+
+
+def test_fault_in_place_window_sizes():
+    # The accepted major cases cover every window length.
+    for case, pages in (("window4", 4), ("window3_hole", 3),
+                        ("window2_cached", 2), ("window1_hole", 1),
+                        ("window2_eof", 2)):
+        kwargs, warmed, block, _major = _ACCEPTED[case]
+        world = fault_world(**kwargs)
+        warm(world, *warmed)
+        cached = world.cache.cached_pages
+        serve(world, block)
+        assert world.cache.cached_pages - cached == pages, case
+
+
+def _hold(resource, slots):
+    def prelude(world):
+        def holder():
+            grants = [resource(world).request() for _ in range(slots)]
+            try:
+                for grant in grants:
+                    yield grant
+                yield world.env.timeout(_LONG_US)
+            finally:
+                for grant in grants:
+                    resource(world).release(grant)
+
+        world.env.process(holder())
+        yield world.env.timeout(1.0)
+
+    return prelude
+
+
+def _busy_immediate(world):
+    world.env.event().succeed()
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
+def _shared_waker(world):
+    env = world.env
+    gate = env.event()
+
+    def other():
+        yield gate
+        yield env.timeout(_LONG_US)
+
+    env.process(other())
+    yield env.timeout(1.0)
+    # ``other`` was first to wait, so this step runs while the gate
+    # still lists it among its callbacks.
+    gate.succeed()
+    yield gate
+
+
+_DECLINED = {
+    "thinpool_slots_held": ({}, _hold(lambda w: w.pool._slots, 4)),
+    "controller_busy": ({}, _hold(lambda w: w.ssd._controller, 1)),
+    "channels_busy": ({}, _hold(lambda w: w.ssd._channels, 16)),
+    "immediate_busy": ({}, _busy_immediate),
+    "shared_waker": ({}, _shared_waker),
+    "slow_path": ({"fastpath": False}, None),
+    "hdd_host": ({"device": "hdd"}, None),
+    "remote_host": ({"device": "remote"}, None),
+    "two_extents": ({"fragment_bytes": 2 * PAGE_SIZE}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECLINED))
+def test_fault_in_place_declines_touching_nothing(case):
+    kwargs, prelude = _DECLINED[case]
+    served, driven = fault_world(**kwargs), fault_world(**kwargs)
+    block = 1  # a 4-page window; with 2-page extents it spans two
+    assert serve(served, block, _TAILS["monitor_cpu"],
+                 prelude=prelude) is None
+    serve(driven, block, _TAILS["monitor_cpu"], in_place=False,
+          prelude=prelude)
+    assert world_state(served) == world_state(driven)
+
+
+def test_fault_in_place_declines_outside_a_process():
+    world = fault_world()
+    before = world_state(world)
+    assert world.cache.fault_in_place(world.file, 0) is None
+    assert world_state(world) == before
+
+
+@pytest.mark.parametrize("case", ["hit", "hole", "window4"])
+def test_fault_in_place_declines_a_heap_entry_due_by_its_end(case):
+    kwargs, warmed, block, _major = _ACCEPTED[case]
+
+    def start_at_one(world):
+        yield world.env.timeout(1.0)
+
+    reference = fault_world(**kwargs)
+    warm(reference, *warmed)
+    serve(reference, block, _TAILS["monitor_cpu"], in_place=False,
+          prelude=start_at_one)
+    end = reference.env.now
+
+    def timer_due(at):
+        def prelude(world):
+            def timer():
+                yield world.env.timeout(at - world.env.now)
+
+            world.env.process(timer())
+            yield from start_at_one(world)
+
+        return prelude
+
+    for due, accepted in ((end, False), (end - 0.5, False),
+                          (end + 0.5, True)):
+        world = fault_world(**kwargs)
+        warm(world, *warmed)
+        start = world.env.now
+        # The timer's heap entry lands at exactly ``due``.
+        assert start + (due - start) == due
+        answer = serve(world, block, _TAILS["monitor_cpu"],
+                       prelude=timer_due(due))
+        assert (answer is not None) is accepted, due

@@ -273,3 +273,37 @@ def test_vcpu_rejects_negative_compute():
 
     proc = env.process(body())
     env.run(until=proc)
+
+
+def test_vcpu_tries_the_inline_handler_first():
+    def run(with_inline):
+        env, host = make_host()
+        memory = GuestMemory(1 * MIB)
+        vcpu = VCpu(env)
+        served = []
+
+        def handler(page):
+            served.append(("generator", page))
+            if not env.advance(100.0):
+                yield env.timeout(100.0)
+            memory.install(page)
+
+        def inline(page):
+            # Declines odd pages, which then take the generator path.
+            if page % 2 or not env.advance(100.0):
+                return False
+            served.append(("inline", page))
+            memory.install(page)
+            return True
+
+        proc = env.process(vcpu.execute_phase(
+            memory, [0, 1, 2, 3, 0], 500.0, handler,
+            inline_handler=inline if with_inline else None))
+        env.run(until=proc)
+        return env.now, env.events_processed, vcpu.faults_taken, served
+
+    now, events, faults, served = run(with_inline=True)
+    assert served == [("inline", 0), ("generator", 1), ("inline", 2),
+                      ("generator", 3)]
+    reference = run(with_inline=False)
+    assert (now, events, faults) == reference[:3] == (900.0, events, 4)
