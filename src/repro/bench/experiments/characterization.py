@@ -203,6 +203,10 @@ class Fig5Reuse(Experiment):
 
     def cells(self, functions=None, seed: int = 42, invocations: int = 4,
               **_kwargs) -> list[Cell]:
+        if invocations < 2:
+            raise ValueError(
+                f"fig5 compares consecutive invocations, so invocations "
+                f"must be at least 2, got {invocations}")
         return [self._cell(name, function=name, seed=seed,
                            invocations=invocations)
                 for name in _function_names(functions)]

@@ -14,6 +14,10 @@ them.  The three concrete behaviours:
 * :class:`PrefetchMonitor` -- the post-prefetch demand loop; everything
   in the recorded working set was installed eagerly, so it only sees the
   invocation's unique pages (§7.1).
+
+When nothing could observe the handoff, the faulting vCPU runs the
+monitor's service itself (:meth:`UffdMonitor.serve_in_place`), with the
+same timing, event count and bookkeeping.
 """
 
 from __future__ import annotations
@@ -86,8 +90,6 @@ class UffdMonitor:
         params = self.host.params
         env = self.host.env
         page = fault.page
-        self.demand_faults += 1
-        self.observe(page)
         delay = params.uffd_event_us + params.monitor_dispatch_us
         if not env.advance(delay):
             yield env.timeout(delay)
@@ -108,16 +110,81 @@ class UffdMonitor:
                                    else 0.0)
                 if not env.advance(delay):
                     yield env.timeout(delay)
-            if was_major:
-                self.major_faults += 1
-            payload = (self.memory_file.read_block(page)
-                       if self._carries_content() else None)
-            self.uffd.copy(page, payload)
         else:
-            self.zero_faults += 1
+            was_major = None
             if not env.advance(params.uffd_zeropage_us):
                 yield env.timeout(params.uffd_zeropage_us)
+        self._commit(page, was_major)
+
+    def serve_in_place(self, page: int) -> bool:
+        """Serve a vCPU's fault on ``page`` in place, if nothing can tell.
+
+        The synchronous form of :meth:`UserFaultFd.raise_fault` and this
+        monitor's round trip: the read event's dispatch, :meth:`_serve`
+        and the wake's dispatch.  It runs only when the monitor is
+        parked on the fd's one blocked read with no fault pending or
+        queued, and the whole service passes
+        :meth:`Environment.advance_to` at its end: the lead delay, then
+        the page access (:meth:`HostPageCache.fault_in_place`, which
+        also answers for the device) or the zero-fill, then the install
+        delay, counting every event the round trip would.  Then it
+        commits what :meth:`_serve` would (counters, :meth:`observe`,
+        the install) and returns ``True``; the monitor stays parked on
+        the same read.  Otherwise it changes nothing and returns
+        ``False``, and the caller raises the fault.
+        """
+        uffd = self.uffd
+        if uffd.closed:
+            return False
+        memory = uffd.memory
+        memory.check_page(page)
+        getter = self._pending_get
+        if (getter is None or page in memory._present
+                or getter._cb is not self._process
+                or getter._cbs is not None
+                or uffd.idle_reader() is not getter):
+            return False
+        host = self.host
+        params = host.params
+        env = host.env
+        # The round trip's events: the read's dispatch and the lead
+        # delay before the access, the wake's dispatch after it.
+        start = env._now + (params.uffd_event_us
+                            + params.monitor_dispatch_us)
+        memory_file = self.memory_file
+        if memory_file.has_block(page):
+            copy_us = params.uffd_copy_us
+            was_major = host.page_cache.fault_in_place(
+                memory_file, page, copy_us + self.extra_fault_us, copy_us,
+                start=start, extra_events=3)
+            if was_major is None:
+                return False
+        elif env.advance_to(start + params.uffd_zeropage_us, 4):
+            was_major = None
+        else:
+            return False
+        uffd.faults_raised += 1
+        self._commit(page, was_major)
+        return True
+
+    def _commit(self, page: int, was_major: Optional[bool]) -> None:
+        """Count a served fault and install its page.
+
+        ``was_major`` tells whether the access to a page of the memory
+        file was a major fault; ``None`` marks a page the snapshot never
+        wrote, which is mapped as a zero page.
+        """
+        self.demand_faults += 1
+        self.observe(page)
+        if was_major is None:
+            self.zero_faults += 1
             self.uffd.zeropage(page)
+            return
+        if was_major:
+            self.major_faults += 1
+        payload = (self.memory_file.read_block(page)
+                   if self._carries_content() else None)
+        self.uffd.copy(page, payload)
 
     def _carries_content(self) -> bool:
         return self.uffd.memory.content_mode is ContentMode.FULL

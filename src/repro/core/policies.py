@@ -106,8 +106,10 @@ class RestorePolicy(abc.ABC):
             self, vm: MicroVM) -> Optional[InlineFaultHandler]:
         """The vCPU's in-place handler, tried before :meth:`fault_handler`.
 
-        ``None`` (the default) when the faulting thread does not serve
-        its own faults, as under userfaultfd, where the monitor does.
+        ``None`` (the default) when the policy has none.  Vanilla's
+        serves the kernel's lazy fault path; a userfaultfd policy's
+        hands the fault to its monitor's
+        :meth:`~repro.core.monitor.UffdMonitor.serve_in_place`.
         """
         return None
 
@@ -218,6 +220,11 @@ class _UffdPolicy(RestorePolicy):
             yield wake
 
         return handler
+
+    def inline_fault_handler(self, vm: MicroVM) -> InlineFaultHandler:
+        if self.monitor is None:
+            raise RuntimeError(f"{self.name}: attach() not called")
+        return self.monitor.serve_in_place
 
     def finish(self, vm: MicroVM) -> Generator[Event, Any,
                                                Optional[ReapArtifacts]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.functions.spec import FunctionProfile
 from repro.memory.trace import AccessTrace
@@ -81,21 +81,48 @@ class FunctionBehavior:
             self._stream.child("proc"), profile.processing_pages,
             profile.contiguity_mean, 0, boot_pages, self._occupied)
         record_runs = proc_runs
+        alternates: list[range] = []
         if profile.record_divergence > 0.0:
-            record_runs = self._diverge_runs(proc_runs)
+            record_runs, alternates = self._diverge_runs(proc_runs)
+        # Every run placed apart, the record phase's alternates included:
+        # then no trace can repeat a layout page, and unique pages avoid
+        # them all.
+        self._stable_marks = self._check_placed(
+            self._occupied, 0, chain(conn_runs, proc_runs, alternates),
+            f"{profile.name}: working-set layout")
         return WorkingSetLayout(
             connection_runs=tuple(tuple(run) for run in conn_runs),
             processing_runs=tuple(tuple(run) for run in proc_runs),
             record_processing_runs=tuple(tuple(run) for run in record_runs),
         )
 
-    def _diverge_runs(self, runs: list[range]) -> list[range]:
-        """Swap a fraction of processing runs for alternates (record phase)."""
+    @staticmethod
+    def _check_placed(occupied: bytearray, marked_before: int,
+                      runs: Iterable[range], what: str) -> int:
+        """Check that ``runs`` share no page with each other or before.
+
+        :meth:`_draw_runs` marks every run it returns in ``occupied``, on
+        pages free until then, so the runs are distinct and avoid the
+        ``marked_before`` pages marked earlier exactly when the map
+        gained one mark per page of them.  Returns the marks now set.
+        """
+        marked = occupied.count(1)
+        if marked - marked_before != sum(map(len, runs)):
+            raise ValueError(f"{what}: placed runs share a page")
+        return marked
+
+    def _diverge_runs(
+            self, runs: list[range]) -> tuple[list[range], list[range]]:
+        """Swap a fraction of processing runs for alternates (record phase).
+
+        Returns the record phase's runs and the alternates among them.
+        """
         stream = self._stream.child("divergence")
         divergent_target = int(self.profile.record_divergence
                                * self.profile.processing_pages)
         swapped_pages = 0
         result: list[range] = []
+        alternates: list[range] = []
         order = list(range(len(runs)))
         stream.shuffle(order)
         to_swap = set()
@@ -111,9 +138,10 @@ class FunctionBehavior:
                     self.profile.contiguity_mean, 0,
                     self.profile.boot_footprint_pages, self._occupied)
                 result.extend(replacement)
+                alternates.extend(replacement)
             else:
                 result.append(run)
-        return result
+        return result, alternates
 
     @staticmethod
     def _draw_runs(stream: RandomStream, total_pages: int,
@@ -215,11 +243,13 @@ class FunctionBehavior:
         stream.child("proc-order").shuffle(merged)
         # Flatten through a list: tuple() over an iterator grows the
         # tuple by repeated reallocation, which fragments the heap and
-        # raises peak RSS.
-        return AccessTrace(
-            connection_pages=tuple(
-                [page for run in conn_runs for page in run]),
-            processing_pages=tuple([page for run in merged for page in run]),
+        # raises peak RSS.  The layout was checked when it was built and
+        # the unique pages when they were drawn, so the pages are
+        # distinct without a set of them all.
+        flatten = chain.from_iterable
+        return AccessTrace.of_distinct_pages(
+            connection_pages=tuple(list(flatten(conn_runs))),
+            processing_pages=tuple(list(flatten(merged))),
             connection_compute_us=profile.connection_warm_ms * MS,
             processing_compute_us=profile.warm_ms * MS,
             label=f"{profile.name}#{invocation}",
@@ -243,6 +273,8 @@ class FunctionBehavior:
                 profile.unique_contiguity_mean,
                 profile.boot_footprint_pages, profile.vm_pages,
                 local_occupied)
+        self._check_placed(local_occupied, self._stable_marks, runs,
+                           f"{profile.name}: unique pages")
         return runs
 
     # -- helpers for boot and analysis ---------------------------------------

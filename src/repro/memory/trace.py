@@ -53,6 +53,28 @@ class AccessTrace:
                         f"duplicate page {page} in access trace")
                 seen.add(page)
 
+    @classmethod
+    def of_distinct_pages(cls, connection_pages: tuple[int, ...],
+                          processing_pages: tuple[int, ...],
+                          connection_compute_us: float = 0.0,
+                          processing_compute_us: float = 0.0,
+                          label: str = "") -> "AccessTrace":
+        """Build a trace whose pages the caller has shown to be distinct.
+
+        Skips the duplicate check of the constructor, which costs a set
+        of every page: :class:`~repro.functions.behavior.FunctionBehavior`
+        checks its layout once and each invocation's unique pages
+        against it, which gives the same guarantee.
+        """
+        trace = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(trace, "connection_pages", connection_pages)
+        setattr_(trace, "processing_pages", processing_pages)
+        setattr_(trace, "connection_compute_us", connection_compute_us)
+        setattr_(trace, "processing_compute_us", processing_compute_us)
+        setattr_(trace, "label", label)
+        return trace
+
     @property
     def pages(self) -> tuple[int, ...]:
         """All pages in access order (connection phase first)."""

@@ -98,6 +98,18 @@ class UserFaultFd:
         """Withdraw a blocked :meth:`read_event` (monitor shutdown)."""
         self._events.cancel_get(pending_get)
 
+    def idle_reader(self) -> Event | None:
+        """The one blocked :meth:`read_event`, if it is all the fd holds.
+
+        ``None`` when a fault is pending or queued, or when no reader or
+        more than one waits.  A monitor parked on the returned read may
+        serve a fault without the event round trip (see
+        :meth:`repro.core.monitor.UffdMonitor.serve_in_place`).
+        """
+        if self._pending:
+            return None
+        return self._events.sole_getter()
+
     @property
     def queued_events(self) -> int:
         """Fault events delivered but not yet read by the monitor."""

@@ -29,7 +29,7 @@ from repro.sim.units import PAGE_SIZE
 from repro.vm.host import WorkerHost
 from repro.vm.microvm import MicroVM
 from repro.vm.snapshot import Snapshot
-from repro.vm.vcpu import FaultHandler
+from repro.vm.vcpu import FaultHandler, InlineFaultHandler
 
 #: Pages per background-stream segment.
 SEGMENT_PAGES = 64
@@ -153,6 +153,16 @@ class OverlapPolicy(WsFilePolicy):
                 # Stream aborted before this page: fall through.
             wake = uffd.raise_fault(page)
             yield wake
+
+        return handler
+
+    def inline_fault_handler(self, vm: MicroVM) -> InlineFaultHandler:
+        serve_in_place = super().inline_fault_handler(vm)
+        remaining = self._remaining
+
+        def handler(page: int) -> bool:
+            # A page still streaming waits on the transfer, never in place.
+            return page not in remaining and serve_in_place(page)
 
         return handler
 

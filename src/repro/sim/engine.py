@@ -313,7 +313,9 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
+        # Until its first step the process waits on the bootstrap, so
+        # an interrupt sent before then is held for it (see interrupt).
+        self._waiting_on: Any = _BOOTSTRAP
         # Kick off the first step at the current time (no proxy Event:
         # a bare callback entry resumes us with a None value).
         env._schedule_call(self, _BOOTSTRAP)
@@ -324,7 +326,11 @@ class Process(Event):
         return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        A process that has not taken its first step yet takes it first,
+        and the interrupt is thrown where that step suspends it.
+        """
         if self._triggered:
             return
         env = self.env
@@ -337,10 +343,20 @@ class Process(Event):
         # dispatched first) is dropped as stale and cannot resume it
         # ahead of the interrupt.  A pending interrupt keeps its place.
         waiting = self._waiting_on
+        if waiting is _BOOTSTRAP:
+            # Not started: the first step runs first, so the body can
+            # catch the interrupt; _resume queues it after that step.
+            self._waiting_on = wake
+            return
         if waiting is not None and not isinstance(waiting._exception,
                                                   Interrupt):
             self._waiting_on = wake
+        self._queue_wake(wake)
+
+    def _queue_wake(self, wake: Event) -> None:
+        """Queue the triggered ``wake`` to resume this process now."""
         wake._cb = self
+        env = self.env
         if env._fastpath:
             env._immediate.append(wake)
         else:
@@ -353,6 +369,17 @@ class Process(Event):
         # interrupt raced with the original wait target).
         waiting = self._waiting_on
         if waiting is not None and event is not waiting:
+            if event is _BOOTSTRAP:
+                # Interrupted before its first step (``waiting`` is the
+                # interrupt, held back): take the step, then, if it
+                # suspended the process, deliver the interrupt in place
+                # of the step's own target.
+                self._waiting_on = None
+                self._resume(event)
+                if self._waiting_on is not None:
+                    self._waiting_on = waiting
+                    self._queue_wake(waiting)
+                return
             if not event.ok:
                 event._defused = True
             return

@@ -249,6 +249,13 @@ class Store:
             self._getters.append(event)
         return event
 
+    def sole_getter(self) -> Optional[Event]:
+        """The one pending ``get`` when nothing is queued, else ``None``."""
+        getters = self._getters
+        if self._items or len(getters) != 1:
+            return None
+        return getters[0]
+
     def get_nowait(self) -> Optional[Any]:
         """Pop an item if one is ready, else ``None``."""
         if self._items:

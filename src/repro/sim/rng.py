@@ -114,16 +114,24 @@ class RandomStream:
         Same permutation and same stream state afterwards as
         ``random.Random.shuffle``: its ``_randbelow`` is inlined, so every
         ``getrandbits`` call, rejection and swap happens at the same
-        position.
+        position.  The positions are walked down in segments of equal
+        bit length, so each segment draws with one ``k`` instead of
+        asking every ``n`` for its bit length.
         """
         getrandbits = self._getrandbits
-        for i in reversed(range(1, len(items))):
-            n = i + 1
-            k = n.bit_length()
-            j = getrandbits(k)
-            while j >= n:
+        top = len(items)
+        while top > 1:
+            k = top.bit_length()
+            low = 1 << (k - 1)
+            # Swap position n - 1 with a draw below n, for n from top
+            # down to the smallest n of bit length k.
+            for n in range(top, low - 1, -1):
                 j = getrandbits(k)
-            items[i], items[j] = items[j], items[i]
+                while j >= n:
+                    j = getrandbits(k)
+                i = n - 1
+                items[i], items[j] = items[j], items[i]
+            top = low - 1
 
     def gauss(self, mu: float, sigma: float) -> float:
         """Normal variate."""

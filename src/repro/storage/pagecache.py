@@ -213,7 +213,9 @@ class HostPageCache:
 
     def fault_in_place(self, file: SimFile, block: int,
                        major_tail: float | None = None,
-                       minor_tail: float | None = None) -> bool | None:
+                       minor_tail: float | None = None, *,
+                       start: float | None = None,
+                       extra_events: int = 0) -> bool | None:
         """Serve a fault as plain synchronous code, if nothing can tell.
 
         The synchronous form of :meth:`fault_in` followed by the
@@ -221,14 +223,18 @@ class HostPageCache:
         a major fault, of ``minor_tail`` after a hit or a hole; ``None``
         for no step).  It covers a hit, a hole, and a major fault whose
         window is one device range on a device that can answer
-        ``uncontended_read_end``.  The whole chain must pass
+        ``uncontended_read_end``.  The fault starts at ``start`` (now
+        when ``None``); a caller whose own in-place steps come before
+        it passes their end, and counts those steps and any after the
+        tail in ``extra_events``.  The whole chain must pass
         :meth:`Environment.advance_to` at its end time, counting the
         events the generator path would: one for a hit or a hole, the
-        device's steps plus one for a major fault, plus one for a tail.
-        Then it leaves the LRU order, ``hits``/``misses`` and the device
-        statistics exactly as :meth:`fault_in` would and returns whether
-        the fault was major.  Otherwise it changes nothing and returns
-        ``None``, and the caller drives :meth:`fault_in` instead.
+        device's steps plus one for a major fault, plus one for a tail,
+        plus ``extra_events``.  Then it leaves the LRU order,
+        ``hits``/``misses`` and the device statistics exactly as
+        :meth:`fault_in` would and returns whether the fault was major.
+        Otherwise it changes nothing and returns ``None``, and the
+        caller drives its own steps and :meth:`fault_in` instead.
         """
         cached = self._cached
         params = self.params
@@ -237,12 +243,14 @@ class HostPageCache:
         version = file.version
         key = (file_id, version, block)
         # The clock is read from its slot: this runs once per fault.
+        if start is None:
+            start = env._now
         if key in cached:
-            when = env._now + params.hit_us
-            events = 1
+            when = start + params.hit_us
+            events = 1 + extra_events
             if minor_tail is not None:
                 when += minor_tail
-                events = 2
+                events += 1
             if not env.advance_to(when, events):
                 return None
             self.hits += 1
@@ -250,11 +258,11 @@ class HostPageCache:
             return False
         written = file._written_blocks
         if block not in written:
-            when = env._now + (params.major_fault_us + params.insert_us)
-            events = 1
+            when = start + (params.major_fault_us + params.insert_us)
+            events = 1 + extra_events
             if minor_tail is not None:
                 when += minor_tail
-                events = 2
+                events += 1
             if not env.advance_to(when, events):
                 return None
             self.misses += 1
@@ -266,7 +274,6 @@ class HostPageCache:
         # never answers declines before the window is planned, and a
         # window that is not clipped needs no second query.
         device = file.device
-        start = env._now
         full = self._full_window_bytes
         answer = device.uncontended_read_end(start, full)
         if answer is None:
@@ -283,7 +290,7 @@ class HostPageCache:
                 return None
         end, events = answer
         when = end + (params.major_fault_us + params.insert_us * n_blocks)
-        events += 1
+        events += 1 + extra_events
         if major_tail is not None:
             when += major_tail
             events += 1

@@ -8,13 +8,13 @@ userfaultfd wait for REAP-managed instances.  This serialization of page
 faults with execution is precisely the §4.2 pathology: "page faults are
 processed serially because the faulting thread is halted".
 
-A policy whose faults are served by the faulting thread itself (vanilla,
-and the anonymous warm path) also supplies an *inline* handler: the vCPU
-tries it first, and it serves the fault in place when nothing else could
-observe its service (see "Faults served in place" in
-``docs/performance.md``).  The generator handler runs only when it
-declines.  A uffd policy supplies none: another process, the monitor,
-serves its faults.
+A policy may also supply an *inline* handler: the vCPU tries it first, and
+it serves the fault in place when nothing else could observe its service
+(see "Faults served in place" in ``docs/performance.md``).  Vanilla's
+and the anonymous warm path's take the kernel's fault path; a uffd
+policy's runs its monitor's service on the vCPU, so the handoff to the
+monitor process happens only when something could tell.  The generator
+handler runs only when the inline one declines.
 
 Guest compute is spread evenly across the phase's accesses, so a phase
 with all pages resident takes exactly its warm duration.

@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.harness import ExperimentResult, metrics_within
+from repro.bench.runner import Runner
 
 FAST_SUBSET = ["helloworld", "pyaes"]
 
@@ -55,6 +56,15 @@ def test_fig4_subset():
 def test_fig5_subset():
     result = run_experiment("fig5", functions=FAST_SUBSET)
     assert result.metrics["min_same_overall"] > 0.9
+
+
+@pytest.mark.parametrize("invocations", [1, 0])
+def test_fig5_needs_two_invocations(invocations):
+    # Reuse is measured between consecutive invocations: one invocation
+    # has no pair, which must be rejected by name before any cell runs.
+    with pytest.raises(ValueError, match="invocations"):
+        Runner().run(["fig5"], functions=["helloworld"],
+                     invocations=invocations)
 
 
 def test_fig7_single_repetition():

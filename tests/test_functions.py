@@ -11,6 +11,7 @@ from repro.functions import (
     catalog_names,
     get_profile,
 )
+from repro.memory import AccessTrace
 from repro.memory.working_set import mean_run_length, reuse_between
 
 
@@ -216,3 +217,52 @@ def test_catalog_traces_generate_for_all_functions():
         behavior = FunctionBehavior(profile, seed=1)
         trace = behavior.trace_for(1)
         assert len(trace) == profile.total_working_set_pages, name
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["replay", "record"])
+def test_traces_pass_the_full_duplicate_check(record):
+    # Traces skip the constructor's check of every page; the checked
+    # constructor must accept each of them and build an equal trace.
+    for name, profile in FUNCTIONBENCH.items():
+        behavior = FunctionBehavior(profile, seed=1)
+        for invocation in (0, 1, 2):
+            trace = behavior.trace_for(invocation, record=record)
+            checked = AccessTrace(
+                connection_pages=trace.connection_pages,
+                processing_pages=trace.processing_pages,
+                connection_compute_us=trace.connection_compute_us,
+                processing_compute_us=trace.processing_compute_us,
+                label=trace.label)
+            assert checked == trace, name
+
+
+@pytest.mark.parametrize("stage", ["layout", "unique"])
+@pytest.mark.parametrize("flaw", ["own_run", "taken", "unmarked"])
+def test_a_placement_that_shares_a_page_is_rejected(stage, flaw,
+                                                    monkeypatch):
+    # Traces skip the full duplicate check, so every placement is
+    # checked instead: a run placed twice, one on a page taken before
+    # the draw, or one left unmarked (which later draws could reuse)
+    # fails the layout's build or the trace.
+    behavior = None if stage == "layout" else FunctionBehavior(
+        small_profile(), seed=3)
+    draw = FunctionBehavior._draw_runs
+
+    def flawed(stream, total_pages, mean_length, low, high, occupied):
+        taken = occupied.find(1)
+        runs = draw(stream, total_pages, mean_length, low, high, occupied)
+        if flaw == "own_run":
+            page = runs[-1][0]
+        elif flaw == "taken" and taken >= 0:
+            page = taken
+        else:
+            page = occupied.find(0)
+        return runs + [range(page, page + 1)]
+
+    monkeypatch.setattr(FunctionBehavior, "_draw_runs",
+                        staticmethod(flawed))
+    with pytest.raises(ValueError, match="share a page"):
+        if behavior is None:
+            FunctionBehavior(small_profile(), seed=3)
+        else:
+            behavior.trace_for(1)

@@ -38,6 +38,17 @@ def test_trace_rejects_duplicates():
         make_trace(conn=(1, 1), proc=())
 
 
+def test_trace_rejects_duplicates_from_every_constructor_keyword():
+    # Only FunctionBehavior, which proves distinctness itself, skips the
+    # check; a trace built directly still pays for it.
+    with pytest.raises(ValueError, match="duplicate page 7"):
+        AccessTrace(connection_pages=(7,), processing_pages=(8, 7),
+                    label="dup")
+    trace = AccessTrace.of_distinct_pages((1, 2), (10, 11, 12), 100.0,
+                                          500.0)
+    assert trace == make_trace()
+
+
 def test_trace_phase_accessors():
     trace = make_trace()
     assert trace.phase_pages(AccessPhase.CONNECTION) == (1, 2)

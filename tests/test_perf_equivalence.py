@@ -721,7 +721,8 @@ def test_behavior_matches_reference_edge_profiles(name):
     _assert_behaviors_agree(EDGE_PROFILES[name])
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 3, 64, 1000, 5000])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 64, 1000, 1023, 1024,
+                                    1025, 5000, 8193])
 def test_stream_shuffle_matches_library_shuffle(length):
     stream = RandomStream(1234)
     library = random.Random(1234)

@@ -473,6 +473,97 @@ def test_interrupt_wins_over_a_wait_target_due_at_the_same_time(fastpath):
 
 
 @pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_an_interrupt_before_the_first_step_is_delivered(fastpath):
+    # The process takes its first step, so its handler is in place, and
+    # the interrupt is thrown where that step suspends it.
+    env = Environment(fastpath=fastpath)
+    log = []
+
+    def sleeper():
+        log.append(("started", env.now))
+        try:
+            yield env.timeout(5)
+            log.append(("slept", env.now))
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause, env.now))
+            yield env.timeout(1)
+            log.append(("resumed", env.now))
+
+    target = env.process(sleeper())
+    target.interrupt("early")
+    env.run()
+    assert log == [("started", 0.0), ("interrupted", "early", 0.0),
+                   ("resumed", 1.0)]
+    # The bootstrap, the interrupt, the stale timeout, the timeout slept
+    # after it and the process's own completion: the interrupt is queued
+    # once, after the first step.
+    assert env.events_processed == 5
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_an_early_interrupt_is_delivered_under_tiebreak_perturbation(
+        seed, monkeypatch):
+    # Same-timestamp heap entries pop in a shuffled order, so an
+    # interrupt queued before the first step could overtake it; it must
+    # still be thrown where that step suspends the process.
+    monkeypatch.setenv("REPRO_SANITIZE_TIEBREAK", str(seed))
+    env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield env.timeout(5)
+        except Interrupt as interrupt:
+            log.append((interrupt.cause, env.now))
+
+    targets = [env.process(sleeper()) for _ in range(8)]
+    for index, target in enumerate(targets):
+        target.interrupt(index)
+    env.run()
+    assert sorted(log) == [(index, 0.0) for index in range(8)]
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_an_early_interrupt_beats_an_already_processed_first_target(
+        fastpath):
+    # The first step yields an event processed earlier, whose resume is
+    # queued behind the held interrupt: the interrupt still wins, and a
+    # second early interrupt is dropped as the first one's follower.
+    env = Environment(fastpath=fastpath)
+    done = env.event().succeed("done")
+    env.run()
+    log = []
+
+    def waiter():
+        try:
+            value = yield done
+            log.append(("value", value))
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause))
+
+    target = env.process(waiter())
+    target.interrupt("first")
+    target.interrupt("second")
+    env.run()
+    assert log == [("interrupted", "first")]
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
+def test_an_early_interrupt_of_a_process_that_ends_at_once_is_dropped(
+        fastpath):
+    env = Environment(fastpath=fastpath)
+
+    def at_once():
+        return "finished"
+        yield  # pragma: no cover - makes this a generator
+
+    target = env.process(at_once())
+    target.interrupt("early")
+    assert env.run(until=target) == "finished"
+    env.run()
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "slow"])
 def test_the_first_of_two_interrupts_sent_together_wins(fastpath):
     env = Environment(fastpath=fastpath)
     log = []
